@@ -47,10 +47,6 @@ class Threshold:
             object.__setattr__(self, "den", self.den // g)
 
     @classmethod
-    def from_ratio(cls, num: int, den: int) -> "Threshold":
-        return cls(num, den)
-
-    @classmethod
     def from_m(cls, m: int) -> "Threshold":
         """Cutoff of the form 1/(m+1) for integer m >= 1."""
         if m < 1:
@@ -60,6 +56,20 @@ class Threshold:
     @property
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
+
+    def step(self, slack: int, outcome: Action) -> int:
+        """Slack (see ``BeliefState.slack``) after one more outcome: a
+        success uses up ``den - num``, a failure adds ``num``."""
+        if outcome is Action.SUCCESS:
+            return slack - (self.den - self.num)
+        return slack + self.num
+
+    def padding(self, slack: int) -> int:
+        """Fewest failures after which one more success keeps the slack
+        nonnegative: ceil((den - num - slack) / num), or 0 when a success
+        is already affordable."""
+        need = self.den - self.num - slack
+        return -(-need // self.num) if need > 0 else 0
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -107,8 +117,8 @@ class BeliefState:
         """Integer margin to the cutoff; nonnegative iff within threshold.
 
         Defined as num*(beta0+failures) - (den-num)*(alpha0+successes),
-        which has the sign of c - posterior_mean. A failure adds ``num``,
-        a success subtracts ``den - num``.
+        which has the sign of c - posterior_mean. ``Threshold.step``
+        advances it by one outcome.
         """
         a = self.alpha0 + self.successes
         b = self.beta0 + self.failures
@@ -119,11 +129,4 @@ class BeliefState:
 
         Returns 0 when a success is already affordable from this state.
         """
-        short = c.den - c.num
-        # need num*(b + d) >= short*(a + 1), smallest integer d >= 0
-        a = self.alpha0 + self.successes
-        b = self.beta0 + self.failures
-        need = short * (a + 1) - c.num * b
-        if need <= 0:
-            return 0
-        return -((-need) // c.num)  # ceil(need / num)
+        return c.padding(self.slack(c))

@@ -6,17 +6,16 @@ evidence, not circularity.
 
 ``exhaustive_best`` walks the whole depth-``horizon`` tree recursively.
 ``dp_value`` computes the same backward recursion bottom-up over belief
-states, vectorized per layer; both evaluate the identical floating
-point expressions, so their values match exactly, not just closely.
+states; both evaluate the identical floating point expressions, so
+their values match exactly, not just closely.
 ``value_iteration`` works on the infinite horizon directly, iterating
 the Bellman operator over the finitely many reachable slack states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .belief import Action, BeliefState, Threshold
 
@@ -35,9 +34,11 @@ class OracleResult:
     horizon: int
 
 
-def _require_within(alpha0: int, beta0: int, c: Threshold) -> None:
-    if BeliefState(alpha0, beta0).slack(c) < 0:
+def _start_slack(alpha0: int, beta0: int, c: Threshold) -> int:
+    slack = BeliefState(alpha0, beta0).slack(c)
+    if slack < 0:
         raise ValueError("initial prior already exceeds threshold")
+    return slack
 
 
 def _check_delta(delta: float) -> None:
@@ -62,8 +63,8 @@ def exhaustive_best(
             f"exhaustive search is limited to horizon <= {EXHAUSTIVE_LIMIT}"
         )
     _check_delta(delta)
-    _require_within(alpha0, beta0, c)
-    short = c.den - c.num
+    slack0 = _start_slack(alpha0, beta0, c)
+    gain, short = c.num, c.den - c.num  # Threshold.step, inlined in the tree walk
 
     def best(slack: int, periods_left: int) -> tuple[float, tuple[Action, ...]]:
         if periods_left == 0:
@@ -76,13 +77,13 @@ def exhaustive_best(
         else:
             s_value = 1.0  # crossing success ends the game
             s_seq = (Action.SUCCESS,)
-        f_sub_value, f_sub_seq = best(slack + c.num, periods_left - 1)
+        f_sub_value, f_sub_seq = best(slack + gain, periods_left - 1)
         f_value = delta * f_sub_value
         if s_value >= f_value:
             return s_value, s_seq
         return f_value, (Action.FAILURE, *f_sub_seq)
 
-    value, seq = best(BeliefState(alpha0, beta0).slack(c), horizon)
+    value, seq = best(slack0, horizon)
     return OracleResult(value, seq, horizon)
 
 
@@ -98,18 +99,18 @@ def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) 
     if horizon > DP_LIMIT:
         raise LimitExceededError(f"dp oracle is limited to horizon <= {DP_LIMIT}")
     _check_delta(delta)
-    _require_within(alpha0, beta0, c)
+    slack0 = _start_slack(alpha0, beta0, c)
     short = c.den - c.num
-    values = np.zeros(horizon + 1)  # layer `horizon`, indexed by successes
+    values = [0.0] * (horizon + 1)  # layer `horizon`, indexed by successes
     for used in range(horizon - 1, -1, -1):
-        ns = np.arange(used + 1)
-        nf = used - ns
-        # posterior stays within after one more success
-        s_within = short * (alpha0 + ns + 1) <= c.num * (beta0 + nf)
-        s_value = np.where(s_within, 1.0 + delta * values[1 : used + 2], 1.0)
-        f_value = delta * values[0 : used + 1]
-        values = np.maximum(s_value, f_value)
-    return float(values[0])
+        # one more success from (ns, used - ns) leaves slack
+        # slack0 + num*(used - ns) - short*(ns + 1), within iff ns <= last
+        last = (slack0 + c.num * used - short) // c.den
+        values = [
+            max(1.0 + delta * values[ns + 1] if ns <= last else 1.0, delta * values[ns])
+            for ns in range(used + 1)
+        ]
+    return values[0]
 
 
 def value_iteration(
@@ -124,23 +125,21 @@ def value_iteration(
     the distance to the fixed point by tol times the discounted tail.
     """
     _check_delta(delta)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    slack0 = BeliefState(alpha0, beta0).slack(c)
-    if slack0 < 0:
-        raise ValueError("initial prior already exceeds threshold")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+    slack0 = _start_slack(alpha0, beta0, c)
     short = c.den - c.num
     cap = max(slack0, short + c.num - 1) + c.num
-    slacks = np.arange(cap + 1)
-    can_continue = slacks >= short
-    s_child = np.maximum(slacks - short, 0)
-    f_child = np.minimum(slacks + c.num, cap)
-    w = np.zeros(cap + 1)
+    f_child = [min(s + c.num, cap) for s in range(cap + 1)]
+    w = [0.0] * (cap + 1)
     stop = tol * (1.0 - delta)
     for _ in range(10_000_000):
-        s_value = np.where(can_continue, 1.0 + delta * w[s_child], 1.0)
-        w_next = np.maximum(s_value, delta * w[f_child])
-        if float(np.max(np.abs(w_next - w))) <= stop:
-            return float(w_next[slack0])
+        # a success from slack below `short` crosses and ends the game
+        w_next = [
+            max(1.0 + delta * w[s - short] if s >= short else 1.0, delta * w[f])
+            for s, f in enumerate(f_child)
+        ]
+        if max(abs(a - b) for a, b in zip(w_next, w)) <= stop:
+            return w_next[slack0]
         w = w_next
     raise RuntimeError("value iteration failed to converge")

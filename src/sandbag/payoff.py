@@ -52,8 +52,8 @@ def breakeven_discount(n: int, tol: float = 1e-12) -> BreakevenRoot:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
 
     def f(x: float) -> float:
         return x**n + x ** (n + 1) - 1.0

@@ -45,7 +45,7 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         for name in ("alpha0", "beta0", "m"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
         # prior mean <= 1/(m+1) iff alpha0*m <= beta0, exact in integers
         if self.alpha0 * self.m > self.beta0:
@@ -88,8 +88,8 @@ def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
     ``tie_tol`` is the half-width of the band around each root treated
     as an exact tie; the roots themselves are computed to 1e-12.
     """
-    if tie_tol < 0.0:
-        raise ValueError("tie_tol must be nonnegative")
+    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise ValueError("tie_tol must be nonnegative and finite")
     dec = decompose(inst.beta0, inst.m)
     if dec.r < inst.alpha0:
         raise ValueError("prior mean exceeds threshold")
@@ -144,11 +144,5 @@ def verify_ordering(inst: ProblemInstance, n_max: int, atol: float = 1e-10) -> O
     top = max(values.values())
     argmax = tuple(i for i in indices if values[i] >= top - atol)
     cls = classify(inst)
-    if cls.kind is OptimalKind.UNIQUE or cls.kind is OptimalKind.TIE_LOW:
-        expected = set(cls.members)
-    elif cls.kind is OptimalKind.TIE_HIGH:
-        expected = {*range(2, n_max + 1), math.inf}
-    else:
-        expected = {*range(1, n_max + 1), math.inf}
-    agrees = set(argmax) == expected
+    agrees = set(argmax) == {i for i in indices if cls.contains(i)}
     return OrderingReport(argmax, values, cls, agrees)

@@ -118,16 +118,6 @@ def format_strategy(x: Strategy) -> str:
     return f"{head}({''.join(a.value for a in x.cycle)})*"
 
 
-def _slack0(alpha0: int, beta0: int, c: Threshold) -> int:
-    return BeliefState(alpha0, beta0).slack(c)
-
-
-def _step(slack: int, action: Action, c: Threshold) -> int:
-    if action is Action.SUCCESS:
-        return slack - (c.den - c.num)
-    return slack + c.num
-
-
 def is_feasible(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> bool:
     """Whether the monitor stays through every period the schedule needs.
 
@@ -136,24 +126,24 @@ def is_feasible(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> bool:
     the cutoff. Infinite schedules must stay within forever, which is
     decided exactly from the per-cycle slack drift.
     """
-    slack = _slack0(alpha0, beta0, c)
+    slack = BeliefState(alpha0, beta0).slack(c)
     if slack < 0:
         return False
     if x.cycle is None:
         for action in x.prefix[:-1]:
-            slack = _step(slack, action, c)
+            slack = c.step(slack, action)
             if slack < 0:
                 return False
         return True
     for action in x.prefix:
-        slack = _step(slack, action, c)
+        slack = c.step(slack, action)
         if slack < 0:
             return False
     # one full cycle must stay within, and the net drift per cycle must be
     # nonnegative, else some later repetition dips below zero
     cycle_slack = slack
     for action in x.cycle:
-        cycle_slack = _step(cycle_slack, action, c)
+        cycle_slack = c.step(cycle_slack, action)
         if cycle_slack < 0:
             return False
     return cycle_slack >= slack
@@ -172,11 +162,11 @@ def greedy_violations(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> lis
     """
     bar = c.den  # flip test: slack after the failure >= den
     out: list[int] = []
-    slack = _slack0(alpha0, beta0, c)
+    slack = BeliefState(alpha0, beta0).slack(c)
     pos = 0
     for action in x.prefix:
         pos += 1
-        slack = _step(slack, action, c)
+        slack = c.step(slack, action)
         if action is Action.FAILURE and slack >= bar:
             out.append(pos)
     if x.cycle is None:
@@ -185,7 +175,7 @@ def greedy_violations(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> lis
     offsets: list[tuple[int, int]] = []  # (offset within cycle, slack after)
     for off, action in enumerate(x.cycle):
         pos += 1
-        slack = _step(slack, action, c)
+        slack = c.step(slack, action)
         if action is Action.FAILURE:
             offsets.append((off, slack))
             if slack >= bar:
@@ -247,61 +237,40 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     Succeeds whenever the resulting posterior stays within the cutoff,
     otherwise pads with the fewest failures that make the next success
     affordable. The finite member h^i spends the crossing success at the
-    i-th such opportunity; h^inf declines them all and is returned as
-    prefix plus cycle.
+    i-th such opportunity; h^inf declines them all and is returned as a
+    prefix through the first success after the first failure, plus the
+    shortest cycle.
     """
     if index != math.inf and (not isinstance(index, int) or index < 1):
         raise ValueError("index must be a positive integer or math.inf")
-    short = c.den - c.num
-    slack = _slack0(alpha0, beta0, c)
+    slack = BeliefState(alpha0, beta0).slack(c)
     if slack < 0:
         raise ValueError("initial prior already exceeds threshold")
-
-    if index != math.inf:
-        word: list[Action] = []
-        opportunities = 0
-        while True:
-            if slack >= short:
-                word.append(Action.SUCCESS)
-                slack -= short
-                continue
-            opportunities += 1
-            if opportunities == index:
-                word.append(Action.SUCCESS)  # the crossing success
-                return Strategy(tuple(word))
-            need = short - slack
-            d = -((-need) // c.num)  # ceil(need / num)
-            word.extend([Action.FAILURE] * d)
-            slack += d * c.num
-
-    # infinite member: walk until the slack state repeats, then split at
-    # the first success that follows the first failure; slack values are
-    # bounded so the walk is eventually periodic and that point lies in
-    # the recurrent part
-    word = []
-    seen: dict[int, int] = {}
-    period = None
+    short = c.den - c.num
+    word: list[Action] = []
+    seen: dict[int, int] = {}  # h^inf: slack at each opportunity -> len(word) there
+    opportunities = 0
+    # one block per pass: the free successes, then an opportunity (slack < short)
     while True:
-        if slack in seen and period is None:
-            period = len(word) - seen[slack]
-        if slack not in seen:
+        free, slack = divmod(slack, short)
+        word += [Action.SUCCESS] * free
+        opportunities += 1
+        if opportunities == index:
+            word.append(Action.SUCCESS)  # the crossing success
+            return Strategy(tuple(word))
+        if index == math.inf:
+            if slack in seen:
+                break
             seen[slack] = len(word)
-        if period is not None:
-            first_f = next((i for i, a in enumerate(word) if a is Action.FAILURE), None)
-            if first_f is not None:
-                split = next(
-                    (i for i in range(first_f + 1, len(word)) if word[i] is Action.SUCCESS),
-                    None,
-                )
-                if split is not None and len(word) >= split + 1 + period:
-                    head = tuple(word[: split + 1])
-                    cycle = tuple(word[split + 1 : split + 1 + period])
-                    return Strategy(head, cycle)
-        if slack >= short:
-            word.append(Action.SUCCESS)
-            slack -= short
-        else:
-            need = short - slack
-            d = -((-need) // c.num)
-            word.extend([Action.FAILURE] * d)
-            slack += d * c.num
+        pad = c.padding(slack)
+        word += [Action.FAILURE] * pad
+        slack += pad * c.num
+
+    # From the first opportunity on, slack stays in [0, den), where the step
+    # is a bijection, so the word is periodic from there with the period just
+    # found; the cycle is that period read from the end of the head. The
+    # first failure starts the padding at the first opportunity.
+    period = word[seen[slack] :]
+    head = word.index(Action.SUCCESS, min(seen.values())) + 1
+    turn = (head - seen[slack]) % len(period)
+    return Strategy(tuple(word[:head]), tuple(period[turn:] + period[:turn]))

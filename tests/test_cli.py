@@ -150,6 +150,22 @@ class TestOracle:
         assert code == EXIT_USAGE and "--horizon" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--alpha", "1", "--beta", "4", "--c-num", "1", "--c-den", "3",
+         "--delta", "0.5", "--mode", "vi", "--tol", "inf"),
+        ("thresholds", "--n-max", "2", "--tol", "inf"),
+        ("thresholds", "--n-max", "2", "--tol", "nan"),
+        ("solve", "--alpha", "1", "--beta", "3", "--m", "2", "--delta", "0.5", "--tie-tol", "inf"),
+        ("solve", "--alpha", "1", "--beta", "3", "--m", "2", "--delta", "0.5", "--tie-tol", "nan"),
+    ],
+)
+def test_nonfinite_tolerance_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and "finite" in err and out == ""
+
+
 class TestThresholds:
     def test_first_three_roots(self, capsys):
         doc = run_json(capsys, "thresholds", "--n-max", "3")

@@ -129,6 +129,12 @@ class TestValueIteration:
         with pytest.raises(ValueError):
             value_iteration(1, 3, C_HALF, 0.5, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_nonfinite_tol(self, tol):
+        # nan never met the stopping test; inf stopped after one sweep
+        with pytest.raises(ValueError, match="finite"):
+            value_iteration(1, 3, C_HALF, 0.5, tol=tol)
+
     def test_rejects_high_prior(self):
         with pytest.raises(ValueError, match="exceeds threshold"):
             value_iteration(3, 1, C_HALF, 0.5)

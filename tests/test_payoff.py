@@ -92,6 +92,11 @@ class TestBreakevenDiscount:
         with pytest.raises(ValueError):
             breakeven_discount(3, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_nonfinite_tol(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            breakeven_discount(3, tol=tol)
+
 
 class TestFrontierPayoff:
     @pytest.mark.parametrize(

@@ -32,10 +32,11 @@ class TestProblemInstance:
 
     @pytest.mark.parametrize("field", ["alpha0", "beta0", "m"])
     def test_rejects_nonpositive_ints(self, field):
-        kwargs = dict(alpha0=1, beta0=3, m=1, delta=0.5)
-        kwargs[field] = 0
-        with pytest.raises(ValueError):
-            ProblemInstance(**kwargs)
+        for bad in (0, True):
+            kwargs = dict(alpha0=1, beta0=3, m=1, delta=0.5)
+            kwargs[field] = bad
+            with pytest.raises(ValueError):
+                ProblemInstance(**kwargs)
 
     def test_threshold_property(self):
         from fractions import Fraction
@@ -109,6 +110,11 @@ class TestClassify:
     def test_rejects_negative_tie_tol(self):
         with pytest.raises(ValueError):
             classify(ProblemInstance(1, 3, 1, 0.5), tie_tol=-1.0)
+
+    @pytest.mark.parametrize("tie_tol", [math.nan, math.inf])
+    def test_rejects_nonfinite_tie_tol(self, tie_tol):
+        with pytest.raises(ValueError, match="finite"):
+            classify(ProblemInstance(1, 3, 1, 0.5), tie_tol=tie_tol)
 
     def test_monotone_regime_sweep(self):
         # upward delta sweep may only move h1 -> h2 -> hinf

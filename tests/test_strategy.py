@@ -275,3 +275,49 @@ class TestFrontierFamily:
             for a in h2.prefix[:-1]:
                 state = state.update(a)
             assert state.posterior_mean == c.as_fraction
+
+
+def general_cutoff_grid():
+    """Every cutoff num/den in lowest terms with den <= 12, alpha0 <= 8,
+    beta0 <= 60, and a prior within the cutoff."""
+    for den in range(2, 13):
+        for num in range(1, den):
+            if math.gcd(num, den) != 1:
+                continue
+            for alpha0 in range(1, 9):
+                for beta0 in range(1, 61):
+                    if num * beta0 >= (den - num) * alpha0:
+                        yield alpha0, beta0, Threshold(num, den)
+
+
+class TestGeneralCutoffFamily:
+    def test_generated_grid(self):
+        S, F = Action.SUCCESS, Action.FAILURE
+        cases = 0
+        for alpha0, beta0, c in general_cutoff_grid():
+            cases += 1
+            h_inf = frontier_strategy(alpha0, beta0, c, math.inf)
+            assert is_feasible(h_inf, alpha0, beta0, c)
+            assert greedy_violations(h_inf, alpha0, beta0, c) == []
+            # the head runs through the first success after the first failure
+            head = h_inf.prefix
+            assert head.index(S, head.index(F)) == len(head) - 1
+            cycle = "".join(a.value for a in h_inf.cycle)
+            assert cycle not in (cycle + cycle)[1:-1]  # not a power of a shorter word
+            # h^i is h^inf cut at its i-th opportunity (a success would cross,
+            # and the walk has not already started padding), plus the crossing s
+            short = c.den - c.num
+            slack = BeliefState(alpha0, beta0).slack(c)
+            played: list[Action] = []
+            index = 0
+            for action in h_inf.actions():
+                if slack < short and (not played or played[-1] is S):
+                    index += 1
+                    h_i = frontier_strategy(alpha0, beta0, c, index)
+                    assert h_i.cycle is None, (alpha0, beta0, c, index)
+                    assert h_i.prefix == (*played, S), (alpha0, beta0, c, index)
+                    if index == 6:
+                        break
+                played.append(action)
+                slack += c.num if action is F else -short
+        assert cases == 18332
