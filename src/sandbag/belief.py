@@ -57,12 +57,12 @@ class Threshold:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    def step(self, slack: int, outcome: Action) -> int:
-        """Slack (see ``BeliefState.slack``) after one more outcome: a
-        success uses up ``den - num``, a failure adds ``num``."""
+    def step(self, slack: int, outcome: Action, count: int = 1) -> int:
+        """Slack (see ``BeliefState.slack``) after ``count`` more of one
+        outcome: a success uses up ``den - num``, a failure adds ``num``."""
         if outcome is Action.SUCCESS:
-            return slack - (self.den - self.num)
-        return slack + self.num
+            return slack - count * (self.den - self.num)
+        return slack + count * self.num
 
     def padding(self, slack: int) -> int:
         """Fewest failures after which one more success keeps the slack

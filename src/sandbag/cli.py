@@ -4,7 +4,7 @@ Every subcommand emits a JSON envelope {command, params, result,
 version} by default, or flat CSV rows with --format csv. Results go to
 stdout unless --out is given; an existing output file is refused
 without --force. Exit codes: 0 success, 2 usage or validation error,
-3 resource guard tripped (oracle horizon too deep).
+3 resource guard tripped (oracle horizon too deep, sweep grid too fine).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from typing import Any, Sequence
 
 from . import __version__
-from .belief import Threshold
+from .belief import Action, Threshold
 from .oracle import LimitExceededError, dp_value, exhaustive_best, value_iteration
 from .payoff import breakeven_discount, payoff
 from .solver import OptimalKind, ProblemInstance, classify
@@ -28,6 +28,11 @@ from .strategy import format_strategy, frontier_strategy, parse_strategy
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+SWEEP_LIMIT = 100_000  # most delta points one sweep may classify
+
+
+def _successes(runs) -> int:
+    return sum(n for a, n in runs if a is Action.SUCCESS)
 
 
 def index_label(index) -> str:
@@ -148,16 +153,18 @@ def _cmd_enumerate(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any
     for i in [*range(1, args.max_index + 1), math.inf]:
         x = frontier_strategy(args.alpha, args.beta, c, i)
         text = format_strategy(x)
-        successes = sum(1 for a in x.prefix if a.value == "s")
+        successes = _successes(x.prefix_runs)
         entry: dict[str, Any] = {
             "index": index_label(i),
             "strategy": text,
             "length": x.length,
             "prefix_successes": successes,
         }
-        if x.cycle is not None:
-            entry["cycle_length"] = len(x.cycle)
-            entry["cycle_successes"] = sum(1 for a in x.cycle if a.value == "s")
+        cycle_length: Any = ""
+        if x.cycle_runs is not None:
+            cycle_length = sum(n for _, n in x.cycle_runs)
+            entry["cycle_length"] = cycle_length
+            entry["cycle_successes"] = _successes(x.cycle_runs)
         entries.append(entry)
         rows.append(
             [
@@ -165,7 +172,7 @@ def _cmd_enumerate(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any
                 text,
                 "" if x.length is None else x.length,
                 successes,
-                "" if x.cycle is None else len(x.cycle),
+                cycle_length,
             ]
         )
     header = ["index", "strategy", "length", "prefix_successes", "cycle_length"]
@@ -250,16 +257,25 @@ def _cmd_simulate(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]
 
 
 def _cmd_sweep(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]:
-    if args.step <= 0.0:
-        raise ValueError("--step must be positive")
+    if not (math.isfinite(args.step) and args.step > 0.0):
+        raise ValueError("--step must be positive and finite")
     if not 0.0 < args.delta_min < args.delta_max < 1.0:
         raise ValueError("need 0 < --delta-min < --delta-max < 1")
+    # a grid point passes the test below only if delta_min + i*step is at
+    # most delta_max + 1.5e-12 (end tolerance plus rounding), so this bounds
+    # the point count before any point is classified
+    points = (args.delta_max - args.delta_min + 2e-12) / args.step + 1
+    if points > SWEEP_LIMIT:
+        raise LimitExceededError(
+            f"sweep grid has about {points:.3g} points, limit is {SWEEP_LIMIT}"
+        )
     rows_out = []
-    i = 0
-    # index-based grid avoids compounding float error across steps; the
-    # round keeps grid points like 0.55 + 0.05 from printing as 0.600...01
-    while (delta := round(args.delta_min + i * args.step, 12)) <= args.delta_max + 1e-12:
-        i += 1
+    for i in range(int(points)):
+        # index-based grid avoids compounding float error across steps; the
+        # round keeps grid points like 0.55 + 0.05 from printing as 0.600...01
+        delta = round(args.delta_min + i * args.step, 12)
+        if delta > args.delta_max + 1e-12:
+            break
         d = min(delta, args.delta_max)
         inst = ProblemInstance(args.alpha, args.beta, args.m, d)
         res = classify(inst)

@@ -1,9 +1,14 @@
 """Discounted payoffs and breakeven discount factors.
 
 The player earns 1 per success and 0 per failure, discounted by
-delta**(t-1) in period t (the first period is undiscounted). Finite
-schedules are summed directly; eventually periodic ones get the exact
-geometric closed form for the tail.
+delta**(t-1) in period t (the first period is undiscounted). Pricing
+works on a schedule's runs: a run of n successes that starts after t
+periods is worth delta**t * (1 - delta**n) / (1 - delta), and the cycle
+of an eventually periodic schedule adds its one-cycle value times the
+geometric factor 1 / (1 - delta**period). The frontier family's payoffs
+have the same sums in closed form. Each 1 - delta**n is taken as
+-expm1(n * log(delta)), which keeps full relative precision as delta
+approaches 1.
 
 The breakeven discount for waiting n periods is the unique root in
 (0, 1) of x**n + x**(n+1) = 1. Below it, postponing a success by n
@@ -17,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .belief import Action
-from .strategy import FamilyIndex, Strategy, decompose
+from .strategy import FamilyIndex, Run, Strategy, decompose
 
 _ULP_FLOOR = 1e-15  # bisection stops shrinking brackets below float spacing
 
@@ -28,6 +33,26 @@ class BreakevenRoot(NamedTuple):
     residual: float  # z**n + z**(n+1) - 1 at the returned z
 
 
+def _log(delta: float) -> float:
+    return math.log(delta) if delta > 0.0 else -math.inf
+
+
+def _geometric(log_ratio: float, n: int) -> float:
+    """1 + r + ... + r**(n-1) for r = exp(log_ratio) in [0, 1)."""
+    return math.expm1(n * log_ratio) / math.expm1(log_ratio) if n else 0.0
+
+
+def _price_runs(runs: tuple[Run, ...], delta: float, log_delta: float) -> tuple[float, int]:
+    """Discounted success count of ``runs`` played from period 1, and their length."""
+    value = 0.0
+    t = 0
+    for action, n in runs:
+        if action is Action.SUCCESS:
+            value += delta**t * _geometric(log_delta, n)
+        t += n
+    return value, t
+
+
 def payoff(x: Strategy, delta: float) -> float:
     """Expected discounted success count of a schedule.
 
@@ -36,12 +61,12 @@ def payoff(x: Strategy, delta: float) -> float:
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
-    head = sum(delta**t for t, a in enumerate(x.prefix) if a is Action.SUCCESS)
-    if x.cycle is None:
-        return float(head)
-    cycle_value = sum(delta**t for t, a in enumerate(x.cycle) if a is Action.SUCCESS)
-    tail = delta ** len(x.prefix) * cycle_value / (1.0 - delta ** len(x.cycle))
-    return float(head + tail)
+    log_delta = _log(delta)
+    head, t = _price_runs(x.prefix_runs, delta, log_delta)
+    if x.cycle_runs is None:
+        return head
+    cycle_value, period = _price_runs(x.cycle_runs, delta, log_delta)
+    return head + delta**t * cycle_value / -math.expm1(period * log_delta)
 
 
 def breakeven_discount(n: int, tol: float = 1e-12) -> BreakevenRoot:
@@ -91,14 +116,15 @@ def frontier_payoff(
     if dec.r < alpha0:
         raise ValueError("initial prior already exceeds threshold")
     q = dec.r - alpha0
+    log_delta = _log(delta)
     if index == 1:
-        return float(sum(delta**t for t in range(q + 1)))
-    head = sum(delta**t for t in range(q))
+        return _geometric(log_delta, q + 1)
+    head = _geometric(log_delta, q)
     period_first = q + (dec.m - dec.k) + 1  # period of the first boundary success
     if index == math.inf:
-        return float(head + delta ** (period_first - 1) / (1.0 - delta ** (m + 1)))
+        return head + delta ** (period_first - 1) / -math.expm1((m + 1) * log_delta)
     if not isinstance(index, int) or index < 1:
         raise ValueError("index must be a positive integer or math.inf")
-    body = sum(delta ** (period_first - 1 + (m + 1) * j) for j in range(index - 1))
+    body = delta ** (period_first - 1) * _geometric((m + 1) * log_delta, index - 1)
     crossing = delta ** (period_first + (m + 1) * (index - 2))
-    return float(head + body + crossing)
+    return head + body + crossing

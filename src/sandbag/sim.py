@@ -2,7 +2,8 @@
 
 Runs a schedule (or a coin-flipping stand-in for the player) forward,
 recording the exact posterior mean each period and stopping the moment
-the cutoff is strictly exceeded. Randomness comes from
+the cutoff is strictly exceeded. The crossing test is the integer slack
+of ``belief``, stepped once per period. Randomness comes from
 ``random.Random(seed)`` with one ``random()`` draw per period compared
 against ``p_true``, so trajectories are reproducible across runs and
 platforms for a fixed seed.
@@ -61,15 +62,23 @@ def _run(
         raise ValueError("max_periods must be at least 1")
     if delta is not None and not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
-    state = BeliefState(alpha0, beta0)
-    if not state.within_threshold(c):
+    slack = BeliefState(alpha0, beta0).slack(c)
+    if slack < 0:
         raise ValueError("initial prior already exceeds threshold")
+    # the slack automaton of Threshold.step, inlined, plus the posterior counts
+    gain, short = c.num, c.den - c.num
+    a, b = alpha0, beta0
     records: list[TrajectoryRecord] = []
     terminated = False
     for period, action in enumerate(action_source, start=1):
-        state = state.update(action)
-        crossed = not state.within_threshold(c)
-        records.append(TrajectoryRecord(period, action, state.posterior_mean, crossed))
+        if action is Action.SUCCESS:
+            a += 1
+            slack -= short
+        else:
+            b += 1
+            slack += gain
+        crossed = slack < 0
+        records.append(TrajectoryRecord(period, action, Fraction(a, a + b), crossed))
         if crossed:
             terminated = True
             break

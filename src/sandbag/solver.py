@@ -127,11 +127,12 @@ class OrderingReport:
 
 
 def verify_ordering(inst: ProblemInstance, n_max: int, atol: float = 1e-10) -> OrderingReport:
-    """Evaluate h^1..h^n_max and h^inf by direct summation and check that
+    """Evaluate h^1..h^n_max and h^inf from their schedules and check that
     the best of them matches the classification.
 
-    This route builds each schedule explicitly and prices it with
-    ``payoff``, independently of the closed forms used by ``classify``.
+    This route builds each schedule with ``frontier_strategy`` and prices
+    its runs with ``payoff``, independently of the closed forms that
+    ``classify`` uses.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")

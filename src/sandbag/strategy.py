@@ -6,6 +6,12 @@ cutoff, or an eventually periodic infinite word (prefix plus repeating
 cycle) that never crosses. The text form is ``"ssfss"`` for finite
 words and ``"ssfs(fs)*"`` for infinite ones.
 
+A schedule is stored as runs, ``((action, count), ...)`` for the prefix
+and for the cycle, so a block of 10^5 free successes costs one entry.
+The feasibility and greedy checks here, and pricing in ``payoff``, work
+run by run; the per-action tuples ``prefix`` and ``cycle`` are expanded
+only when read.
+
 The frontier family h^1, h^2, ..., h^inf enumerates the schedules that
 hug the suspicion boundary: succeed whenever the posterior stays within
 the cutoff afterwards, pad with the fewest failures otherwise, and cash
@@ -15,14 +21,18 @@ infinite member).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .belief import Action, BeliefState, Threshold
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
+Run = tuple[Action, int]  # an action repeated count >= 1 times
+_WORD = re.compile("[sf]*")
 
 
 class StrategyParseError(ValueError):
@@ -33,39 +43,108 @@ class StrategyParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+def _merge(runs: Iterable[tuple[Action, int]]) -> tuple[Run, ...]:
+    """Canonical runs: zero counts dropped, neighbours with equal actions
+    joined, so each word has exactly one run form."""
+    out: list[list] = []
+    for action, count in runs:
+        if type(count) is not int or count < 0:
+            raise ValueError(f"run count must be a nonnegative integer, got {count!r}")
+        if count:
+            if type(action) is not Action:
+                action = Action(action)
+            if out and out[-1][0] is action:
+                out[-1][1] += count
+            else:
+                out.append([action, count])
+    return tuple(map(tuple, out))
+
+
+def _grouped(actions: Iterable[Action]) -> Iterator[tuple[Action, int]]:
+    return ((a, len(list(group))) for a, group in itertools.groupby(actions))
+
+
+def _expand(runs: tuple[Run, ...]) -> Iterator[Action]:
+    return itertools.chain.from_iterable(itertools.repeat(a, n) for a, n in runs)
+
+
+def _slice(runs: Iterable[Run], start: int, stop: int) -> list[Run]:
+    """Runs covering positions [start, stop) of the word."""
+    out = []
+    pos = 0
+    for action, count in runs:
+        end = pos + count
+        if start < end and pos < stop:
+            out.append((action, min(stop, end) - max(start, pos)))
+        pos = end
+    return out
+
+
+@dataclass(frozen=True, init=False)
 class Strategy:
     """Finite or eventually periodic outcome schedule.
 
-    ``cycle is None`` marks a finite strategy; otherwise the schedule is
-    ``prefix`` followed by ``cycle`` repeated forever.
+    ``Strategy(prefix, cycle)`` takes per-action tuples and
+    ``Strategy.from_runs`` takes runs; both store canonical runs, so
+    equality and hashing do not depend on the constructor. ``cycle is
+    None`` marks a finite strategy; otherwise the schedule is ``prefix``
+    followed by ``cycle`` repeated forever. ``prefix`` and ``cycle`` are
+    expanded from the runs on first read and then cached.
     """
 
-    prefix: tuple[Action, ...]
-    cycle: tuple[Action, ...] | None = None
+    prefix_runs: tuple[Run, ...]
+    cycle_runs: tuple[Run, ...] | None
 
-    def __post_init__(self) -> None:
-        if self.cycle is None:
-            if not self.prefix:
+    def __init__(
+        self, prefix: Iterable[Action], cycle: Iterable[Action] | None = None
+    ) -> None:
+        self._set_runs(
+            _merge(_grouped(prefix)), None if cycle is None else _merge(_grouped(cycle))
+        )
+
+    @classmethod
+    def from_runs(
+        cls,
+        prefix_runs: Iterable[tuple[Action, int]],
+        cycle_runs: Iterable[tuple[Action, int]] | None = None,
+    ) -> "Strategy":
+        """Build from ``(action, count)`` runs; zero counts are allowed
+        and dropped, and equal neighbours are joined."""
+        x = cls.__new__(cls)
+        x._set_runs(_merge(prefix_runs), None if cycle_runs is None else _merge(cycle_runs))
+        return x
+
+    def _set_runs(self, prefix_runs: tuple[Run, ...], cycle_runs: tuple[Run, ...] | None) -> None:
+        if cycle_runs is None:
+            if not prefix_runs:
                 raise ValueError("finite strategy must contain at least one action")
-        elif not self.cycle:
+        elif not cycle_runs:
             raise ValueError("cycle must contain at least one action")
+        object.__setattr__(self, "prefix_runs", prefix_runs)
+        object.__setattr__(self, "cycle_runs", cycle_runs)
+
+    @functools.cached_property
+    def prefix(self) -> tuple[Action, ...]:
+        return tuple(_expand(self.prefix_runs))
+
+    @functools.cached_property
+    def cycle(self) -> tuple[Action, ...] | None:
+        return None if self.cycle_runs is None else tuple(_expand(self.cycle_runs))
 
     @property
     def is_finite(self) -> bool:
-        return self.cycle is None
+        return self.cycle_runs is None
 
     @property
     def length(self) -> int | None:
         """Number of periods for finite strategies, None for infinite ones."""
-        return len(self.prefix) if self.cycle is None else None
+        return sum(n for _, n in self.prefix_runs) if self.cycle_runs is None else None
 
     def actions(self, limit: int | None = None) -> Iterator[Action]:
         """Yield the schedule in order; ``limit`` bounds infinite ones."""
-        if self.cycle is None:
-            seq: Iterator[Action] = iter(self.prefix)
-        else:
-            seq = itertools.chain(self.prefix, itertools.cycle(self.cycle))
+        seq = _expand(self.prefix_runs)
+        if self.cycle_runs is not None:
+            seq = itertools.chain(seq, itertools.cycle(_expand(self.cycle_runs)))
         return seq if limit is None else itertools.islice(seq, limit)
 
     def __str__(self) -> str:
@@ -80,21 +159,15 @@ def parse_strategy(text: str) -> Strategy:
     """
     if not text:
         raise StrategyParseError("empty strategy text", 1)
-    by_char = {a.value: a for a in Action}
-    prefix: list[Action] = []
-    i = 0
-    while i < len(text) and text[i] in by_char:
-        prefix.append(by_char[text[i]])
-        i += 1
+    i = _WORD.match(text).end()
+    prefix = text[:i]
     if i == len(text):
-        return Strategy(tuple(prefix))
+        return Strategy.from_runs(_grouped(prefix))
     if text[i] != "(":
         raise StrategyParseError(f"unexpected character {text[i]!r}", i + 1)
-    i += 1
-    cycle: list[Action] = []
-    while i < len(text) and text[i] in by_char:
-        cycle.append(by_char[text[i]])
-        i += 1
+    j = _WORD.match(text, i + 1).end()
+    cycle = text[i + 1 : j]
+    i = j
     if i == len(text) or text[i] != ")":
         pos = i + 1
         if i < len(text):
@@ -107,15 +180,29 @@ def parse_strategy(text: str) -> Strategy:
         raise StrategyParseError("cycle must be followed by '*'", i + 1)
     if i + 1 != len(text):
         raise StrategyParseError("trailing characters after cycle", i + 2)
-    return Strategy(tuple(prefix), tuple(cycle))
+    return Strategy.from_runs(_grouped(prefix), _grouped(cycle))
 
 
 def format_strategy(x: Strategy) -> str:
     """Inverse of parse_strategy."""
-    head = "".join(a.value for a in x.prefix)
-    if x.cycle is None:
+    head = "".join(a.value * n for a, n in x.prefix_runs)
+    if x.cycle_runs is None:
         return head
-    return f"{head}({''.join(a.value for a in x.cycle)})*"
+    return f"{head}({''.join(a.value * n for a, n in x.cycle_runs)})*"
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _walk(slack: int, runs: Iterable[Run], c: Threshold) -> int | None:
+    """Slack after ``runs``, or None if it goes negative on the way. A run
+    moves the slack one way only, so a success run is lowest at its end."""
+    for action, n in runs:
+        slack = c.step(slack, action, n)
+        if slack < 0:
+            return None
+    return slack
 
 
 def is_feasible(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> bool:
@@ -129,24 +216,16 @@ def is_feasible(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> bool:
     slack = BeliefState(alpha0, beta0).slack(c)
     if slack < 0:
         return False
-    if x.cycle is None:
-        for action in x.prefix[:-1]:
-            slack = c.step(slack, action)
-            if slack < 0:
-                return False
-        return True
-    for action in x.prefix:
-        slack = c.step(slack, action)
-        if slack < 0:
-            return False
+    if x.cycle_runs is None:
+        *head, (last, n) = x.prefix_runs
+        return _walk(slack, [*head, (last, n - 1)], c) is not None
+    slack = _walk(slack, x.prefix_runs, c)
+    if slack is None:
+        return False
     # one full cycle must stay within, and the net drift per cycle must be
     # nonnegative, else some later repetition dips below zero
-    cycle_slack = slack
-    for action in x.cycle:
-        cycle_slack = c.step(cycle_slack, action)
-        if cycle_slack < 0:
-            return False
-    return cycle_slack >= slack
+    cycle_slack = _walk(slack, x.cycle_runs, c)
+    return cycle_slack is not None and cycle_slack >= slack
 
 
 def greedy_violations(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> list[int]:
@@ -164,33 +243,34 @@ def greedy_violations(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> lis
     out: list[int] = []
     slack = BeliefState(alpha0, beta0).slack(c)
     pos = 0
-    for action in x.prefix:
-        pos += 1
-        slack = c.step(slack, action)
-        if action is Action.FAILURE and slack >= bar:
-            out.append(pos)
-    if x.cycle is None:
-        return out
-    cycle_start = slack
-    offsets: list[tuple[int, int]] = []  # (offset within cycle, slack after)
-    for off, action in enumerate(x.cycle):
-        pos += 1
-        slack = c.step(slack, action)
-        if action is Action.FAILURE:
-            offsets.append((off, slack))
-            if slack >= bar:
-                out.append(pos)
+    cycle_start = cycle_pos = 0
+    fails: list[tuple[int, int, int]] = []  # cycle failure runs: (offset, slack before, length)
+    for in_cycle, runs in ((False, x.prefix_runs), (True, x.cycle_runs or ())):
+        if in_cycle:
+            cycle_start, cycle_pos = slack, pos
+        for action, n in runs:
+            if action is Action.FAILURE:
+                # the j-th failure of the run leaves slack + j*num
+                first = max(1, _ceil_div(bar - slack, c.num))
+                out.extend(range(pos + first, pos + n + 1))
+                if in_cycle:
+                    fails.append((pos - cycle_pos, slack, n))
+            slack = c.step(slack, action, n)
+            pos += n
     drift = slack - cycle_start
-    if not out and drift > 0 and offsets:
-        first = None
-        for off, s_after in offsets:
-            # smallest rep j >= 1 with s_after + j*drift >= bar
-            j = max(1, -((s_after - bar) // drift))
-            candidate = len(x.prefix) + j * len(x.cycle) + off + 1
-            if first is None or candidate < first:
-                first = candidate
-        if first is not None:
-            out.append(first)
+    if x.cycle_runs is None or out or drift <= 0:
+        return out
+    period = pos - cycle_pos
+    candidates = []
+    for off, before, n in fails:
+        # each later cycle adds drift to every slack. The run's last failure
+        # needs the fewest repetitions j, and one repetition less saves a
+        # whole period, more than any shift within the run; so take that j
+        # and the earliest failure i of the run that reaches the bar in it
+        j = max(1, _ceil_div(bar - before - n * c.num, drift))
+        i = max(1, _ceil_div(bar - before - j * drift, c.num))
+        candidates.append(cycle_pos + j * period + off + i)
+    out.append(min(candidates))
     return out
 
 
@@ -223,12 +303,9 @@ def second_frontier_closed_form(alpha0: int, beta0: int, m: int) -> Strategy:
     dec = decompose(beta0, m)
     if dec.r < alpha0:
         raise ValueError("initial prior already exceeds threshold")
-    word = (
-        [Action.SUCCESS] * (dec.r - alpha0)
-        + [Action.FAILURE] * (dec.m - dec.k)
-        + [Action.SUCCESS, Action.SUCCESS]
+    return Strategy.from_runs(
+        [(Action.SUCCESS, dec.r - alpha0), (Action.FAILURE, dec.m - dec.k), (Action.SUCCESS, 2)]
     )
-    return Strategy(tuple(word))
 
 
 def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex) -> Strategy:
@@ -239,7 +316,8 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     affordable. The finite member h^i spends the crossing success at the
     i-th such opportunity; h^inf declines them all and is returned as a
     prefix through the first success after the first failure, plus the
-    shortest cycle.
+    shortest cycle. The walk emits one run per block, so its cost is the
+    number of blocks, not the word length.
     """
     if index != math.inf and (not isinstance(index, int) or index < 1):
         raise ValueError("index must be a positive integer or math.inf")
@@ -247,30 +325,36 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     if slack < 0:
         raise ValueError("initial prior already exceeds threshold")
     short = c.den - c.num
-    word: list[Action] = []
-    seen: dict[int, int] = {}  # h^inf: slack at each opportunity -> len(word) there
+    runs: list[Run] = []
+    pos = 0  # word length so far
+    seen: dict[int, int] = {}  # h^inf: slack at each opportunity -> pos there
     opportunities = 0
     # one block per pass: the free successes, then an opportunity (slack < short)
     while True:
         free, slack = divmod(slack, short)
-        word += [Action.SUCCESS] * free
+        runs.append((Action.SUCCESS, free))
+        pos += free
         opportunities += 1
         if opportunities == index:
-            word.append(Action.SUCCESS)  # the crossing success
-            return Strategy(tuple(word))
+            runs.append((Action.SUCCESS, 1))  # the crossing success
+            return Strategy.from_runs(runs)
         if index == math.inf:
             if slack in seen:
                 break
-            seen[slack] = len(word)
+            seen[slack] = pos
         pad = c.padding(slack)
-        word += [Action.FAILURE] * pad
+        if opportunities == 1:
+            # h^inf's head ends at the free success after this padding (at
+            # least one failure, as slack < short here)
+            head = pos + pad + 1
+        runs.append((Action.FAILURE, pad))
+        pos += pad
         slack += pad * c.num
 
     # From the first opportunity on, slack stays in [0, den), where the step
     # is a bijection, so the word is periodic from there with the period just
-    # found; the cycle is that period read from the end of the head. The
-    # first failure starts the padding at the first opportunity.
-    period = word[seen[slack] :]
-    head = word.index(Action.SUCCESS, min(seen.values())) + 1
-    turn = (head - seen[slack]) % len(period)
-    return Strategy(tuple(word[:head]), tuple(period[turn:] + period[:turn]))
+    # found; the cycle is that period read from the end of the head.
+    start = seen[slack]
+    turn = start + (head - start) % (pos - start)
+    cycle = _slice(runs, turn, pos) + _slice(runs, start, turn)
+    return Strategy.from_runs(_slice(runs, 0, head), cycle)

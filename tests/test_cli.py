@@ -159,6 +159,10 @@ class TestOracle:
         ("thresholds", "--n-max", "2", "--tol", "nan"),
         ("solve", "--alpha", "1", "--beta", "3", "--m", "2", "--delta", "0.5", "--tie-tol", "inf"),
         ("solve", "--alpha", "1", "--beta", "3", "--m", "2", "--delta", "0.5", "--tie-tol", "nan"),
+        ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0.3",
+         "--delta-max", "0.9", "--step", "nan"),
+        ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0.3",
+         "--delta-max", "0.9", "--step", "inf"),
     ],
 )
 def test_nonfinite_tolerance_exits_2(capsys, argv):
@@ -272,6 +276,17 @@ class TestSweep:
             "--delta-min", "0.1", "--delta-max", "0.5", "--step", "0",
         )
         assert code == EXIT_USAGE and "--step" in err
+
+    def test_fine_grid_exits_3_before_classifying(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("classify called on an over-limit grid")
+
+        monkeypatch.setattr("sandbag.cli.classify", fail)
+        code, out, err = run(
+            capsys, "sweep", "--alpha", "1", "--beta", "3", "--m", "1",
+            "--delta-min", "0.1", "--delta-max", "0.5", "--step", "1e-9",
+        )
+        assert code == EXIT_LIMIT and "limit" in err and out == ""
 
 
 class TestOutputHandling:
