@@ -1,10 +1,20 @@
 """Command line front end.
 
 Every subcommand emits a JSON envelope {command, params, result,
-version} by default, or flat CSV rows with --format csv. Results go to
-stdout unless --out is given; an existing output file is refused
-without --force. Exit codes: 0 success, 2 usage or validation error,
-3 resource guard tripped (oracle horizon too deep, sweep grid too fine).
+version} by default, or flat CSV rows with --format csv. Each handler
+returns its payload and its table, the list of row dicts it reports;
+the CSV columns are fields of those rows, named in one map beside
+``render``. Results go to stdout unless --out is given; an existing
+output file is refused without --force.
+
+Exit codes: 0 success, 2 usage or validation error, 3 input over a
+hard cap, checked before the work starts:
+- more than ROW_LIMIT (100,000) rows: enumerate --max-index + 1,
+  thresholds --n-max, simulate --max-periods, sweep grid points;
+- a strategy word longer than WORD_LIMIT (10^7 actions) in solve or
+  enumerate;
+- an oracle horizon above 25 (exhaustive) or 500 (dp), or value
+  iteration above 5,000,000 estimated state updates.
 """
 
 from __future__ import annotations
@@ -23,16 +33,29 @@ from .oracle import LimitExceededError, dp_value, exhaustive_best, value_iterati
 from .payoff import breakeven_discount, payoff
 from .solver import OptimalKind, ProblemInstance, classify
 from .sim import GuesserConfig, play_guesser, play_strategy
-from .strategy import format_strategy, frontier_strategy, parse_strategy
+from .strategy import Strategy, format_strategy, frontier_strategy, parse_strategy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-SWEEP_LIMIT = 100_000  # most delta points one sweep may classify
+ROW_LIMIT = 100_000  # most rows one command may produce
+WORD_LIMIT = 10**7  # most actions in one strategy word a command may print
 
 
 def _successes(runs) -> int:
     return sum(n for a, n in runs if a is Action.SUCCESS)
+
+
+def _check_rows(what: str, rows: float) -> None:
+    if rows > ROW_LIMIT:
+        raise LimitExceededError(f"{what} would give {rows:.6g} rows, limit is {ROW_LIMIT}")
+
+
+def _format_capped(x: Strategy) -> str:
+    actions = sum(n for _, n in x.prefix_runs) + sum(n for _, n in x.cycle_runs or ())
+    if actions > WORD_LIMIT:
+        raise LimitExceededError(f"strategy word has {actions} actions, limit is {WORD_LIMIT}")
+    return format_strategy(x)
 
 
 def index_label(index) -> str:
@@ -116,114 +139,95 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _cmd_solve(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]:
+Table = list[dict[str, Any]]
+
+
+def _cmd_solve(args) -> tuple[dict[str, Any], Table]:
     inst = ProblemInstance(args.alpha, args.beta, args.m, args.delta)
     result = classify(inst, tie_tol=args.tie_tol)
     c = inst.threshold
-    members = []
-    indices = []
-    payoffs = {}
-    for i in result.members:
-        label = index_label(i)
-        members.append(format_strategy(frontier_strategy(args.alpha, args.beta, c, i)))
-        indices.append(label)
-        payoffs[label] = result.payoffs[i]
+    rows = [
+        {
+            "kind": result.kind.value,
+            "index": index_label(i),
+            "strategy": _format_capped(frontier_strategy(args.alpha, args.beta, c, i)),
+            "payoff": result.payoffs[i],
+            "z_low": result.z_low,
+            "z_high": result.z_high,
+        }
+        for i in result.members
+    ]
     payload = {
         "kind": result.kind.value,
-        "members": members,
-        "indices": indices,
-        "payoffs": payoffs,
+        "members": [r["strategy"] for r in rows],
+        "indices": [r["index"] for r in rows],
+        "payoffs": {r["index"]: r["payoff"] for r in rows},
         "z_low": result.z_low,
         "z_high": result.z_high,
     }
-    header = ["kind", "index", "strategy", "payoff", "z_low", "z_high"]
-    rows = [
-        [result.kind.value, idx, s, payoffs[idx], result.z_low, result.z_high]
-        for idx, s in zip(indices, members)
-    ]
-    return payload, (header, rows)
+    return payload, rows
 
 
-def _cmd_enumerate(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]:
+def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
     if args.max_index < 1:
         raise ValueError("--max-index must be at least 1")
+    _check_rows("--max-index", args.max_index + 1)
     c = Threshold(args.c_num, args.c_den)
     entries = []
-    rows = []
     for i in [*range(1, args.max_index + 1), math.inf]:
         x = frontier_strategy(args.alpha, args.beta, c, i)
-        text = format_strategy(x)
-        successes = _successes(x.prefix_runs)
         entry: dict[str, Any] = {
             "index": index_label(i),
-            "strategy": text,
+            "strategy": _format_capped(x),
             "length": x.length,
-            "prefix_successes": successes,
+            "prefix_successes": _successes(x.prefix_runs),
         }
-        cycle_length: Any = ""
         if x.cycle_runs is not None:
-            cycle_length = sum(n for _, n in x.cycle_runs)
-            entry["cycle_length"] = cycle_length
+            entry["cycle_length"] = sum(n for _, n in x.cycle_runs)
             entry["cycle_successes"] = _successes(x.cycle_runs)
         entries.append(entry)
-        rows.append(
-            [
-                index_label(i),
-                text,
-                "" if x.length is None else x.length,
-                successes,
-                cycle_length,
-            ]
-        )
-    header = ["index", "strategy", "length", "prefix_successes", "cycle_length"]
-    return {"strategies": entries}, (header, rows)
+    return {"strategies": entries}, entries
 
 
-def _cmd_evaluate(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]:
+def _cmd_evaluate(args) -> tuple[dict[str, Any], Table]:
     x = parse_strategy(args.strategy)
     value = payoff(x, args.delta)
     payload = {"strategy": format_strategy(x), "delta": args.delta, "payoff": value}
-    return payload, (["strategy", "delta", "payoff"], [[args.strategy, args.delta, value]])
+    return payload, [payload]
 
 
-def _cmd_oracle(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]:
+def _cmd_oracle(args) -> tuple[dict[str, Any], Table]:
     c = Threshold(args.c_num, args.c_den)
     payload: dict[str, Any] = {"mode": args.mode}
     if args.mode == "vi":
         value = value_iteration(args.alpha, args.beta, c, args.delta, tol=args.tol)
         payload.update(value=value, tol=args.tol)
-        best = ""
-        horizon: Any = ""
+    elif args.horizon is None:
+        raise ValueError(f"--horizon is required for mode {args.mode}")
+    elif args.mode == "exhaustive":
+        res = exhaustive_best(args.alpha, args.beta, c, args.delta, args.horizon)
+        best = "".join(a.value for a in res.best_sequence)
+        payload.update(value=res.value, horizon=args.horizon, best_sequence=best)
     else:
-        if args.horizon is None:
-            raise ValueError(f"--horizon is required for mode {args.mode}")
-        horizon = args.horizon
-        if args.mode == "exhaustive":
-            res = exhaustive_best(args.alpha, args.beta, c, args.delta, args.horizon)
-            value = res.value
-            best = "".join(a.value for a in res.best_sequence)
-            payload.update(value=value, horizon=horizon, best_sequence=best)
-        else:
-            value = dp_value(args.alpha, args.beta, c, args.delta, args.horizon)
-            best = ""
-            payload.update(value=value, horizon=horizon)
-    header = ["mode", "horizon", "value", "best_sequence"]
-    return payload, (header, [[args.mode, horizon, value, best]])
+        value = dp_value(args.alpha, args.beta, c, args.delta, args.horizon)
+        payload.update(value=value, horizon=args.horizon)
+    return payload, [payload]
 
 
-def _cmd_thresholds(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]:
+def _cmd_thresholds(args) -> tuple[dict[str, Any], Table]:
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
+    _check_rows("--n-max", args.n_max)
     roots = [breakeven_discount(n, tol=args.tol) for n in range(1, args.n_max + 1)]
-    payload = {"roots": [{"n": r.n, "z": r.z, "residual": r.residual} for r in roots]}
-    rows = [[r.n, r.z, r.residual] for r in roots]
-    return payload, (["n", "z", "residual"], rows)
+    rows = [{"n": r.n, "z": r.z, "residual": r.residual} for r in roots]
+    return {"roots": rows}, rows
 
 
-def _cmd_simulate(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]:
+def _cmd_simulate(args) -> tuple[dict[str, Any], Table]:
     c = Threshold(args.c_num, args.c_den)
     if (args.strategy is None) == (args.guesser_p is None):
         raise ValueError("exactly one of --strategy and --guesser-p is required")
+    _check_rows("--max-periods", args.max_periods)
     if args.strategy is not None:
         x = parse_strategy(args.strategy)
         traj = play_strategy(args.alpha, args.beta, c, x, args.delta, args.max_periods)
@@ -251,12 +255,10 @@ def _cmd_simulate(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]
         "termination_period": traj.termination_period,
         "discounted_payoff": traj.discounted_payoff,
     }
-    header = ["period", "action", "mean_num", "mean_den", "crossed"]
-    rows = [[r["period"], r["action"], r["mean_num"], r["mean_den"], r["crossed"]] for r in records]
-    return payload, (header, rows)
+    return payload, records
 
 
-def _cmd_sweep(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]:
+def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
     if not (math.isfinite(args.step) and args.step > 0.0):
         raise ValueError("--step must be positive and finite")
     if not 0.0 < args.delta_min < args.delta_max < 1.0:
@@ -265,11 +267,8 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]
     # most delta_max + 1.5e-12 (end tolerance plus rounding), so this bounds
     # the point count before any point is classified
     points = (args.delta_max - args.delta_min + 2e-12) / args.step + 1
-    if points > SWEEP_LIMIT:
-        raise LimitExceededError(
-            f"sweep grid has about {points:.3g} points, limit is {SWEEP_LIMIT}"
-        )
-    rows_out = []
+    _check_rows("the sweep grid", points)
+    rows = []
     for i in range(int(points)):
         # index-based grid avoids compounding float error across steps; the
         # round keeps grid points like 0.55 + 0.05 from printing as 0.600...01
@@ -284,7 +283,7 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]
         else:
             regime = "tie"
         best = max(res.payoffs.values())
-        rows_out.append(
+        rows.append(
             {
                 "delta": d,
                 "regime": regime,
@@ -293,9 +292,7 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]]]
                 "z_high": res.z_high,
             }
         )
-    header = ["delta", "regime", "best_payoff", "z_low", "z_high"]
-    rows = [[r["delta"], r["regime"], r["best_payoff"], r["z_low"], r["z_high"]] for r in rows_out]
-    return {"rows": rows_out}, (header, rows)
+    return {"rows": rows}, rows
 
 
 _HANDLERS = {
@@ -311,13 +308,25 @@ _HANDLERS = {
 _PARAM_SKIP = {"command", "format", "out", "force"}
 
 
-def render(args, payload: dict[str, Any], csv_data: tuple[list[str], list[list[Any]]]) -> str:
+# the CSV form of each command: these fields of its table rows, in this order
+_CSV_COLUMNS = {
+    "solve": ("kind", "index", "strategy", "payoff", "z_low", "z_high"),
+    "enumerate": ("index", "strategy", "length", "prefix_successes", "cycle_length"),
+    "evaluate": ("strategy", "delta", "payoff"),
+    "oracle": ("mode", "horizon", "value", "best_sequence"),
+    "thresholds": ("n", "z", "residual"),
+    "simulate": ("period", "action", "mean_num", "mean_den", "crossed"),
+    "sweep": ("delta", "regime", "best_payoff", "z_low", "z_high"),
+}
+
+
+def render(args, payload: dict[str, Any], table: Table) -> str:
     if args.format == "csv":
+        columns = _CSV_COLUMNS[args.command]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        header, rows = csv_data
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows([row.get(k) for k in columns] for row in table)
         return buf.getvalue()
     params = {
         k: v for k, v in vars(args).items() if k not in _PARAM_SKIP and v is not None
@@ -347,8 +356,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, csv_data = _HANDLERS[args.command](args)
-        _write_output(args, render(args, payload, csv_data))
+        payload, table = _HANDLERS[args.command](args)
+        _write_output(args, render(args, payload, table))
     except LimitExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT

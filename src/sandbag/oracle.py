@@ -21,10 +21,11 @@ from .belief import Action, BeliefState, Threshold
 
 EXHAUSTIVE_LIMIT = 25
 DP_LIMIT = 500
+VI_WORK_LIMIT = 5_000_000  # most estimated state updates, states x sweeps, of one value_iteration
 
 
 class LimitExceededError(RuntimeError):
-    """Requested horizon is beyond the guard rail for this oracle."""
+    """An input is beyond a hard size cap."""
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,8 @@ def value_iteration(
     max(initial slack, band top); optimal play never leaves the cap.
     Stops when the sup-norm step is at most tol*(1-delta), which bounds
     the distance to the fixed point by tol times the discounted tail.
+    Raises LimitExceededError when the state count times the estimated
+    sweep count is above VI_WORK_LIMIT.
     """
     _check_delta(delta)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -130,6 +133,17 @@ def value_iteration(
     slack0 = _start_slack(alpha0, beta0, c)
     short = c.den - c.num
     cap = max(slack0, short + c.num - 1) + c.num
+    # the first step is 1 and each later one at most delta times the last,
+    # so about log(stop)/log(delta) sweeps reach `stop`; an estimate, not a
+    # bound, so the loop keeps its own cap
+    sweeps = 1
+    if delta > 0.0:
+        sweeps = max(1, math.ceil((math.log(tol) + math.log1p(-delta)) / math.log(delta)))
+    work = (cap + 1) * sweeps
+    if work > VI_WORK_LIMIT:
+        raise LimitExceededError(
+            f"value iteration needs about {work:.3g} state updates, limit is {VI_WORK_LIMIT}"
+        )
     f_child = [min(s + c.num, cap) for s in range(cap + 1)]
     w = [0.0] * (cap + 1)
     stop = tol * (1.0 - delta)

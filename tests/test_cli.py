@@ -8,7 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
+from sandbag import cli
+from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
+from sandbag.oracle import VI_WORK_LIMIT
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -287,6 +289,136 @@ class TestSweep:
             "--delta-min", "0.1", "--delta-max", "0.5", "--step", "1e-9",
         )
         assert code == EXIT_LIMIT and "limit" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, header, first",
+    [
+        (
+            ("enumerate", "--alpha", "2", "--beta", "7", "--c-num", "1", "--c-den", "4",
+             "--max-index", "2"),
+            ["index", "strategy", "length", "prefix_successes", "cycle_length"],
+            ["h1", "s", "1", "1", ""],
+        ),
+        (
+            ("evaluate", "--strategy", "ssfs(fs)*", "--delta", "0.7"),
+            ["strategy", "delta", "payoff"],
+            ["ssfs(fs)*", "0.7", "2.372549019607843"],
+        ),
+        (
+            ("oracle", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+             "--delta", "0.5", "--horizon", "12", "--mode", "exhaustive"),
+            ["mode", "horizon", "value", "best_sequence"],
+            ["exhaustive", "12", "1.75", "sss"],
+        ),
+        (
+            ("oracle", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+             "--delta", "0.5", "--horizon", "12", "--mode", "dp"),
+            ["mode", "horizon", "value", "best_sequence"],
+            ["dp", "12", "1.75", ""],
+        ),
+        (
+            ("oracle", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+             "--delta", "0.7", "--mode", "vi"),
+            ["mode", "horizon", "value", "best_sequence"],
+            ["vi", "", "2.372549019585576", ""],
+        ),
+    ],
+)
+def test_csv_header_and_first_row(capsys, argv, header, first):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    got_header, rows = parse_csv(out)
+    assert got_header == header
+    assert rows[0] == first
+
+
+def test_every_command_has_csv_columns_and_a_schema():
+    schemas = {p.name.removesuffix(".schema.json") for p in SCHEMA_DIR.glob("*.schema.json")}
+    assert set(cli._HANDLERS) == set(cli._CSV_COLUMNS) == schemas - {"envelope"}
+    assert len(cli._HANDLERS) == 7
+
+
+# vi at cutoff 1/2 from Beta(1, beta) has beta + 1 slack states, and delta
+# 0.8815 at the default tol 1e-10 needs 200 sweeps by the estimate
+VI_BETA_AT_LIMIT = VI_WORK_LIMIT // 200 - 1
+
+# (patched workers, argv for one flag value, value at the cap, value just over it)
+_CAPS = {
+    "enumerate-rows": (
+        ["sandbag.cli.frontier_strategy"],
+        lambda v: ("enumerate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+                   "--max-index", str(v)),
+        ROW_LIMIT - 1,
+        ROW_LIMIT,
+    ),
+    "thresholds-rows": (
+        ["sandbag.cli.breakeven_discount"],
+        lambda v: ("thresholds", "--n-max", str(v)),
+        ROW_LIMIT,
+        ROW_LIMIT + 1,
+    ),
+    "simulate-strategy-rows": (
+        ["sandbag.cli.play_strategy"],
+        lambda v: ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "3",
+                   "--strategy", "(ffs)*", "--max-periods", str(v)),
+        ROW_LIMIT,
+        ROW_LIMIT + 1,
+    ),
+    "simulate-guesser-rows": (
+        ["sandbag.cli.play_guesser"],
+        lambda v: ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "3",
+                   "--guesser-p", "0", "--seed", "1", "--max-periods", str(v)),
+        ROW_LIMIT,
+        ROW_LIMIT + 1,
+    ),
+    # h1 from Beta(1, beta) at cutoff 1/2 is a word of beta successes
+    "solve-word": (
+        ["sandbag.cli.format_strategy"],
+        lambda v: ("solve", "--alpha", "1", "--beta", str(v), "--m", "1", "--delta", "0.5"),
+        WORD_LIMIT,
+        WORD_LIMIT + 1,
+    ),
+    "enumerate-word": (
+        ["sandbag.cli.format_strategy"],
+        lambda v: ("enumerate", "--alpha", "1", "--beta", str(v), "--c-num", "1",
+                   "--c-den", "2", "--max-index", "1"),
+        WORD_LIMIT,
+        WORD_LIMIT + 1,
+    ),
+    # the Bellman sweep is the first call of the builtin enumerate in oracle.py
+    "oracle-vi-work": (
+        ["sandbag.oracle.enumerate"],
+        lambda v: ("oracle", "--alpha", "1", "--beta", str(v), "--c-num", "1", "--c-den", "2",
+                   "--delta", "0.8815", "--mode", "vi"),
+        VI_BETA_AT_LIMIT,
+        VI_BETA_AT_LIMIT + 1,
+    ),
+}
+
+
+def _patch_workers(monkeypatch, workers) -> None:
+    def fail(*args, **kwargs):
+        raise AssertionError("worker called")
+
+    for target in workers:
+        monkeypatch.setattr(target, fail, raising=False)
+
+
+@pytest.mark.parametrize("case", _CAPS)
+def test_just_over_cap_exits_3_before_work(capsys, monkeypatch, case):
+    workers, argv_for, _, over = _CAPS[case]
+    _patch_workers(monkeypatch, workers)
+    code, out, err = run(capsys, *argv_for(over))
+    assert code == EXIT_LIMIT and "limit" in err and out == ""
+
+
+@pytest.mark.parametrize("case", _CAPS)
+def test_cap_admits_its_limit(monkeypatch, case):
+    workers, argv_for, at, _ = _CAPS[case]
+    _patch_workers(monkeypatch, workers)
+    with pytest.raises(AssertionError, match="worker called"):
+        main(list(argv_for(at)))
 
 
 class TestOutputHandling:
