@@ -13,8 +13,9 @@ hard cap, checked before the work starts:
   thresholds --n-max, simulate --max-periods, sweep grid points;
 - a strategy word longer than WORD_LIMIT (10^7 actions) in solve or
   enumerate;
-- an oracle horizon above 25 (exhaustive) or 500 (dp), or value
-  iteration above 5,000,000 estimated state updates.
+- an oracle horizon above 25 (exhaustive) or 500 (dp), a tree search
+  above 6,000,000 nodes, or value iteration above 5,000,000 estimated
+  state updates.
 """
 
 from __future__ import annotations

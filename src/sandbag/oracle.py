@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .belief import Action, BeliefState, Threshold
 
 EXHAUSTIVE_LIMIT = 25
+EXHAUSTIVE_WORK_LIMIT = 6_000_000  # most tree nodes one exhaustive_best may visit
 DP_LIMIT = 500
 VI_WORK_LIMIT = 5_000_000  # most estimated state updates, states x sweeps, of one value_iteration
 
@@ -55,7 +56,8 @@ def exhaustive_best(
 
     Ties break toward the success branch, which makes the returned
     sequence the lexicographically smallest maximizer under s < f.
-    Guarded at horizon <= 25 since the tree is exponential.
+    Guarded at horizon <= 25 since the tree is exponential, and by the
+    tree's node count, which must be at most EXHAUSTIVE_WORK_LIMIT.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -65,6 +67,35 @@ def exhaustive_best(
         )
     _check_delta(delta)
     slack0 = _start_slack(alpha0, beta0, c)
+    nodes = _tree_nodes(slack0, c, horizon)
+    if nodes > EXHAUSTIVE_WORK_LIMIT:
+        raise LimitExceededError(
+            f"exhaustive search would visit {nodes} tree nodes, limit is {EXHAUSTIVE_WORK_LIMIT}"
+        )
+    value, seq = _walk(slack0, c, delta, horizon)
+    return OracleResult(value, seq, horizon)
+
+
+def _tree_nodes(slack0: int, c: Threshold, horizon: int) -> int:
+    """Calls the tree walk makes from ``slack0``, counted per (slack, periods_left)."""
+    gain, short = c.num, c.den - c.num
+    layer = {slack0: 1}  # slack -> walk calls at this depth
+    total = 1
+    for _ in range(horizon):
+        below: dict[int, int] = {}
+        for slack, calls in layer.items():
+            for child in (slack - short, slack + gain):
+                if child >= 0:  # a crossing success ends the game: no call
+                    below[child] = below.get(child, 0) + calls
+        total += sum(below.values())
+        layer = below
+    return total
+
+
+def _walk(
+    slack0: int, c: Threshold, delta: float, horizon: int
+) -> tuple[float, tuple[Action, ...]]:
+    """Best value and sequence from ``slack0`` by full tree recursion."""
     gain, short = c.num, c.den - c.num  # Threshold.step, inlined in the tree walk
 
     def best(slack: int, periods_left: int) -> tuple[float, tuple[Action, ...]]:
@@ -84,8 +115,7 @@ def exhaustive_best(
             return s_value, s_seq
         return f_value, (Action.FAILURE, *f_sub_seq)
 
-    value, seq = best(slack0, horizon)
-    return OracleResult(value, seq, horizon)
+    return best(slack0, horizon)
 
 
 def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) -> float:

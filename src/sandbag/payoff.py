@@ -13,11 +13,14 @@ approaches 1.
 The breakeven discount for waiting n periods is the unique root in
 (0, 1) of x**n + x**(n+1) = 1. Below it, postponing a success by n
 extra periods in exchange for one more success later is a bad trade;
-above it, a good one.
+above it, a good one. The roots depend on n and the tolerance alone, so
+each is bisected once per process and memoised per (n, tol) in a
+bounded cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -75,11 +78,16 @@ def breakeven_discount(n: int, tol: float = 1e-12) -> BreakevenRoot:
     Iterates until both the bracket width and the residual at the
     midpoint are at most ``tol`` (or the bracket hits float spacing).
     """
-    if n < 1:
+    # True == 1 and 2.0 == 2 hash alike, so only a genuine int may reach the cache
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
+    return _bisect(n, tol)
 
+
+@functools.lru_cache(maxsize=1024)  # bounded, so a long thresholds table cannot grow it
+def _bisect(n: int, tol: float) -> BreakevenRoot:
     def f(x: float) -> float:
         return x**n + x ** (n + 1) - 1.0
 

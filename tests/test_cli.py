@@ -10,9 +10,10 @@ import pytest
 
 from sandbag import cli
 from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
-from sandbag.oracle import VI_WORK_LIMIT
+from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def load_schema(name: str) -> dict:
@@ -279,6 +280,23 @@ class TestSweep:
         )
         assert code == EXIT_USAGE and "--step" in err
 
+    # exact output pinned from before the breakeven roots were memoised: a k = 0
+    # grid through the tie_all root, and a k = 1 grid across both roots
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("sweep_k0_tie", ("--alpha", "1", "--beta", "3", "--m", "1", "--delta-min",
+                              "0.618033986", "--delta-max", "0.618033991", "--step", "1e-9")),
+            ("sweep_k1", ("--alpha", "1", "--beta", "5", "--m", "2", "--delta-min", "0.55",
+                          "--delta-max", "0.8", "--step", "0.05")),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_golden_bytes(self, capsys, name, argv, fmt):
+        code, out, err = run(capsys, "sweep", *argv, "--format", fmt)
+        assert code == EXIT_OK and err == ""
+        assert out == (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+
     def test_fine_grid_exits_3_before_classifying(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("classify called on an over-limit grid")
@@ -343,6 +361,10 @@ def test_every_command_has_csv_columns_and_a_schema():
 # 0.8815 at the default tol 1e-10 needs 200 sweeps by the estimate
 VI_BETA_AT_LIMIT = VI_WORK_LIMIT // 200 - 1
 
+# from Beta(1, 100) at cutoff 1/2 no success crosses within 25 periods, so the
+# tree to horizon h is full, with 2**(h+1) - 1 nodes
+EXHAUSTIVE_HORIZON_AT_LIMIT = (EXHAUSTIVE_WORK_LIMIT + 1).bit_length() - 2
+
 # (patched workers, argv for one flag value, value at the cap, value just over it)
 _CAPS = {
     "enumerate-rows": (
@@ -393,6 +415,13 @@ _CAPS = {
                    "--delta", "0.8815", "--mode", "vi"),
         VI_BETA_AT_LIMIT,
         VI_BETA_AT_LIMIT + 1,
+    ),
+    "oracle-exhaustive-work": (
+        ["sandbag.oracle._walk"],
+        lambda v: ("oracle", "--alpha", "1", "--beta", "100", "--c-num", "1", "--c-den", "2",
+                   "--delta", "0.5", "--mode", "exhaustive", "--horizon", str(v)),
+        EXHAUSTIVE_HORIZON_AT_LIMIT,
+        EXHAUSTIVE_HORIZON_AT_LIMIT + 1,
     ),
 }
 

@@ -14,6 +14,7 @@ from sandbag import (
     frontier_payoff,
     value_iteration,
 )
+from sandbag.oracle import _tree_nodes
 
 C_HALF = Threshold(1, 2)
 
@@ -49,6 +50,25 @@ class TestExhaustiveBest:
     def test_guard_rail(self):
         with pytest.raises(LimitExceededError):
             exhaustive_best(1, 3, C_HALF, 0.5, 26)
+
+    def test_full_tree_at_admitted_horizon_exits_on_node_count(self):
+        # from Beta(1, 100) at cutoff 1/2 no success crosses within 25 periods
+        with pytest.raises(LimitExceededError, match="tree nodes"):
+            exhaustive_best(1, 100, C_HALF, 0.5, 25)
+
+    def test_node_count_is_the_walks_call_count(self):
+        def calls(slack, left, gain, short):
+            if left == 0:
+                return 1
+            below = calls(slack - short, left - 1, gain, short) if slack >= short else 0
+            return 1 + below + calls(slack + gain, left - 1, gain, short)
+
+        for num, den in [(1, 2), (1, 3), (2, 5), (3, 4)]:
+            c = Threshold(num, den)
+            for slack0 in range(0, 9):
+                for horizon in range(0, 11):
+                    want = calls(slack0, horizon, num, den - num)
+                    assert _tree_nodes(slack0, c, horizon) == want, (num, den, slack0, horizon)
 
     def test_rejects_high_prior(self):
         with pytest.raises(ValueError, match="exceeds threshold"):

@@ -1,5 +1,8 @@
 """Discounted values, closed forms, and breakeven roots."""
 
+import contextlib
+import hashlib
+import io
 import math
 
 import pytest
@@ -12,6 +15,8 @@ from sandbag import (
     parse_strategy,
     payoff,
 )
+from sandbag.cli import main
+from sandbag.payoff import _bisect
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -96,6 +101,55 @@ class TestBreakevenDiscount:
     def test_rejects_nonfinite_tol(self, tol):
         with pytest.raises(ValueError, match="finite"):
             breakeven_discount(3, tol=tol)
+
+    @pytest.mark.parametrize("n", [True, False, 2.5, 2.0, 0, -1])
+    def test_rejects_bad_n_with_roots_cached(self, n):
+        for warm in (1, 2):
+            breakeven_discount(warm)
+        with pytest.raises(ValueError, match="positive integer"):
+            breakeven_discount(n)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+    def test_rejects_bad_tol_with_root_cached(self, tol):
+        breakeven_discount(3)
+        with pytest.raises(ValueError, match="tol"):
+            breakeven_discount(3, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-15])
+    def test_cached_root_is_the_uncached_bisection(self, tol):
+        for n in range(1, 201):
+            cached = breakeven_discount(n, tol)
+            fresh = _bisect.__wrapped__(n, tol)
+            assert cached.n == fresh.n == n
+            assert cached.z.hex() == fresh.z.hex(), n
+            assert cached.residual.hex() == fresh.residual.hex(), n
+
+    def test_default_and_explicit_tol_share_one_entry(self):
+        _bisect.cache_clear()
+        assert breakeven_discount(5) is breakeven_discount(5, tol=1e-12)
+        assert _bisect.cache_info().misses == 1
+
+    def test_thousand_point_sweep_bisects_at_most_twice(self):
+        _bisect.cache_clear()
+        argv = ["sweep", "--alpha", "1", "--beta", "5", "--m", "2",
+                "--delta-min", "0.001", "--delta-max", "0.9999", "--step", "0.000999"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue().count('"regime"') == 1000
+        assert _bisect.cache_info().misses <= 2
+
+    # SHA-256 of the thresholds table printed before the roots were memoised
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "33279f77789ae7d8832e1c9079e0fcfe41eacff3c733c90fae9c935793409463"),
+            ("csv", "8f6f43e1424a1388df9d01e08659c28608e6265ba31c8c0322f62e447432d3bd"),
+        ],
+    )
+    def test_thresholds_table_unchanged(self, fmt, digest):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["thresholds", "--n-max", "300", "--format", fmt]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 class TestFrontierPayoff:
