@@ -37,6 +37,8 @@ class Threshold:
     den: int
 
     def __post_init__(self) -> None:
+        if type(self.num) is not int or type(self.den) is not int:
+            raise ValueError("threshold terms must be integers")
         if self.den <= 0:
             raise ValueError("threshold denominator must be positive")
         if not 0 < self.num < self.den:
@@ -75,6 +77,31 @@ class Threshold:
         return f"{self.num}/{self.den}"
 
 
+def check_delta(delta: float) -> None:
+    """Require 0 <= delta < 1: at delta = 1 an infinite schedule has no
+    finite value, and finite ones are kept under the same contract."""
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in [0, 1)")
+
+
+def _check_prior(alpha0: int, beta0: int) -> None:
+    if type(alpha0) is not int or type(beta0) is not int or alpha0 < 1 or beta0 < 1:
+        raise ValueError("prior pseudo-counts must be integers >= 1")  # bools too
+
+
+def start_slack(alpha0: int, beta0: int, num: int, den: int) -> int:
+    """``BeliefState.slack`` of the prior Beta(alpha0, beta0) at cutoff num/den,
+    and the one check that the prior starts within it (ValueError if not).
+    For cutoff 1/(m+1) it is m*q + k, q being the free successes that open play."""
+    _check_prior(alpha0, beta0)
+    if not 0 < num < den:
+        raise ValueError("threshold must satisfy 0 < num/den < 1")
+    slack = num * beta0 - (den - num) * alpha0
+    if slack < 0:
+        raise ValueError("prior mean exceeds threshold")
+    return slack
+
+
 @dataclass(frozen=True)
 class BeliefState:
     """Monitor's posterior: Beta(alpha0 + successes, beta0 + failures)."""
@@ -85,8 +112,7 @@ class BeliefState:
     failures: int = 0
 
     def __post_init__(self) -> None:
-        if self.alpha0 < 1 or self.beta0 < 1:
-            raise ValueError("prior pseudo-counts must be integers >= 1")
+        _check_prior(self.alpha0, self.beta0)
         if self.successes < 0 or self.failures < 0:
             raise ValueError("observation counts must be nonnegative")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .belief import Action, BeliefState, Threshold
+from .belief import Action, Threshold, check_delta, start_slack
 
 EXHAUSTIVE_LIMIT = 25
 EXHAUSTIVE_WORK_LIMIT = 6_000_000  # most tree nodes one exhaustive_best may visit
@@ -34,18 +34,6 @@ class OracleResult:
     value: float
     best_sequence: tuple[Action, ...]
     horizon: int
-
-
-def _start_slack(alpha0: int, beta0: int, c: Threshold) -> int:
-    slack = BeliefState(alpha0, beta0).slack(c)
-    if slack < 0:
-        raise ValueError("initial prior already exceeds threshold")
-    return slack
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
 
 
 def exhaustive_best(
@@ -65,8 +53,8 @@ def exhaustive_best(
         raise LimitExceededError(
             f"exhaustive search is limited to horizon <= {EXHAUSTIVE_LIMIT}"
         )
-    _check_delta(delta)
-    slack0 = _start_slack(alpha0, beta0, c)
+    check_delta(delta)
+    slack0 = start_slack(alpha0, beta0, c.num, c.den)
     nodes = _tree_nodes(slack0, c, horizon)
     if nodes > EXHAUSTIVE_WORK_LIMIT:
         raise LimitExceededError(
@@ -129,8 +117,8 @@ def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) 
         raise ValueError("horizon must be nonnegative")
     if horizon > DP_LIMIT:
         raise LimitExceededError(f"dp oracle is limited to horizon <= {DP_LIMIT}")
-    _check_delta(delta)
-    slack0 = _start_slack(alpha0, beta0, c)
+    check_delta(delta)
+    slack0 = start_slack(alpha0, beta0, c.num, c.den)
     short = c.den - c.num
     values = [0.0] * (horizon + 1)  # layer `horizon`, indexed by successes
     for used in range(horizon - 1, -1, -1):
@@ -157,10 +145,10 @@ def value_iteration(
     Raises LimitExceededError when the state count times the estimated
     sweep count is above VI_WORK_LIMIT.
     """
-    _check_delta(delta)
+    check_delta(delta)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
-    slack0 = _start_slack(alpha0, beta0, c)
+    slack0 = start_slack(alpha0, beta0, c.num, c.den)
     short = c.den - c.num
     cap = max(slack0, short + c.num - 1) + c.num
     # the first step is 1 and each later one at most delta times the last,

@@ -24,8 +24,8 @@ import functools
 import math
 from typing import NamedTuple
 
-from .belief import Action
-from .strategy import FamilyIndex, Run, Strategy, decompose
+from .belief import Action, check_delta, start_slack
+from .strategy import FamilyIndex, Run, Strategy, check_index
 
 _ULP_FLOOR = 1e-15  # bisection stops shrinking brackets below float spacing
 
@@ -57,13 +57,8 @@ def _price_runs(runs: tuple[Run, ...], delta: float, log_delta: float) -> tuple[
 
 
 def payoff(x: Strategy, delta: float) -> float:
-    """Expected discounted success count of a schedule.
-
-    Requires 0 <= delta < 1; an infinite schedule has no finite value at
-    delta = 1 and finite ones are kept under the same contract.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
+    """Expected discounted success count of a schedule; 0 <= delta < 1."""
+    check_delta(delta)
     log_delta = _log(delta)
     head, t = _price_runs(x.prefix_runs, delta, log_delta)
     if x.cycle_runs is None:
@@ -112,27 +107,22 @@ def frontier_payoff(
 ) -> float:
     """Closed-form payoff of frontier member h^index at cutoff 1/(m+1).
 
-    With beta0 = m*r + k and q = r - alpha0 free successes, the member
-    h^i (i >= 2) earns its successes at periods 1..q, then at
+    With the prior's slack beta0 - m*alpha0 = m*q + k (0 <= k < m), the
+    member h^i (i >= 2) earns its successes at periods 1..q, then at
     P + (m+1)*j for j = 0..i-2 with P = q + (m-k) + 1, then crosses one
     period after the last of those. h^1 stops at period q + 1; h^inf
     keeps the periodic earnings forever.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    dec = decompose(beta0, m)
-    if dec.r < alpha0:
-        raise ValueError("initial prior already exceeds threshold")
-    q = dec.r - alpha0
+    check_index(index)
+    check_delta(delta)
+    q, k = divmod(start_slack(alpha0, beta0, 1, m + 1), m)
     log_delta = _log(delta)
     if index == 1:
         return _geometric(log_delta, q + 1)
     head = _geometric(log_delta, q)
-    period_first = q + (dec.m - dec.k) + 1  # period of the first boundary success
+    period_first = q + (m - k) + 1  # period of the first boundary success
     if index == math.inf:
         return head + delta ** (period_first - 1) / -math.expm1((m + 1) * log_delta)
-    if not isinstance(index, int) or index < 1:
-        raise ValueError("index must be a positive integer or math.inf")
     body = delta ** (period_first - 1) * _geometric((m + 1) * log_delta, index - 1)
     crossing = delta ** (period_first + (m + 1) * (index - 2))
     return head + body + crossing

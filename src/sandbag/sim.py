@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .belief import Action, BeliefState, Threshold
+from .belief import Action, Threshold, check_delta, start_slack
 from .strategy import Strategy
 
 
@@ -60,11 +60,9 @@ def _run(
 ) -> Trajectory:
     if max_periods < 1:
         raise ValueError("max_periods must be at least 1")
-    if delta is not None and not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    slack = BeliefState(alpha0, beta0).slack(c)
-    if slack < 0:
-        raise ValueError("initial prior already exceeds threshold")
+    if delta is not None:
+        check_delta(delta)
+    slack = start_slack(alpha0, beta0, c.num, c.den)
     # the slack automaton of Threshold.step, inlined, plus the posterior counts
     gain, short = c.num, c.den - c.num
     a, b = alpha0, beta0

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .belief import Threshold
+from .belief import Threshold, start_slack
 from .payoff import breakeven_discount, frontier_payoff, payoff
-from .strategy import FamilyIndex, decompose, frontier_strategy
+from .strategy import FamilyIndex, frontier_strategy
 
 
 class OptimalKind(str, Enum):
@@ -47,9 +47,7 @@ class ProblemInstance:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
-        # prior mean <= 1/(m+1) iff alpha0*m <= beta0, exact in integers
-        if self.alpha0 * self.m > self.beta0:
-            raise ValueError("prior mean exceeds threshold")
+        start_slack(self.alpha0, self.beta0, 1, self.m + 1)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta out of range")
 
@@ -77,9 +75,8 @@ class OptimalSet:
     def contains(self, index: FamilyIndex) -> bool:
         if self.kind is OptimalKind.UNIQUE or self.kind is OptimalKind.TIE_LOW:
             return index in self.members
-        if self.kind is OptimalKind.TIE_HIGH:
-            return index == math.inf or (isinstance(index, int) and index >= 2)
-        return index == math.inf or (isinstance(index, int) and index >= 1)
+        lowest = 2 if self.kind is OptimalKind.TIE_HIGH else 1
+        return index == math.inf or (type(index) is int and index >= lowest)
 
 
 def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
@@ -90,11 +87,9 @@ def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
     """
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ValueError("tie_tol must be nonnegative and finite")
-    dec = decompose(inst.beta0, inst.m)
-    if dec.r < inst.alpha0:
-        raise ValueError("prior mean exceeds threshold")
+    k = start_slack(inst.alpha0, inst.beta0, 1, inst.m + 1) % inst.m
     z_high = breakeven_discount(inst.m).z
-    z_low = breakeven_discount(inst.m - dec.k).z if dec.k >= 1 else z_high
+    z_low = breakeven_discount(inst.m - k).z if k >= 1 else z_high
 
     def build(kind: OptimalKind, members: tuple[FamilyIndex, ...]) -> OptimalSet:
         pay = {
@@ -104,7 +99,7 @@ def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
         return OptimalSet(kind, members, z_low, z_high, pay)
 
     if abs(inst.delta - z_low) <= tie_tol:
-        if dec.k == 0:
+        if k == 0:
             return build(OptimalKind.TIE_ALL, (1, 2, math.inf))
         return build(OptimalKind.TIE_LOW, (1, 2))
     if abs(inst.delta - z_high) <= tie_tol:
@@ -132,18 +127,21 @@ def verify_ordering(inst: ProblemInstance, n_max: int, atol: float = 1e-10) -> O
 
     This route builds each schedule with ``frontier_strategy`` and prices
     its runs with ``payoff``, independently of the closed forms that
-    ``classify`` uses.
+    ``classify`` uses. The argmax compares the members for the prior
+    Beta(alpha0 + q, beta0), which drop the q free successes all members
+    open with: at large q those hide the differences below float resolution.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     c = inst.threshold
+    q = start_slack(inst.alpha0, inst.beta0, c.num, c.den) // (c.den - c.num)
     indices: list[FamilyIndex] = [*range(1, n_max + 1), math.inf]
-    values = {
-        i: payoff(frontier_strategy(inst.alpha0, inst.beta0, c, i), inst.delta)
-        for i in indices
-    }
-    top = max(values.values())
-    argmax = tuple(i for i in indices if values[i] >= top - atol)
+    values, tails = (
+        {i: payoff(frontier_strategy(a, inst.beta0, c, i), inst.delta) for i in indices}
+        for a in (inst.alpha0, inst.alpha0 + q)
+    )
+    top = max(tails.values())
+    argmax = tuple(i for i in indices if tails[i] >= top - atol)
     cls = classify(inst)
     agrees = set(argmax) == {i for i in indices if cls.contains(i)}
     return OrderingReport(argmax, values, cls, agrees)

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .belief import Action, BeliefState, Threshold
+from .belief import Action, BeliefState, Threshold, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
@@ -298,14 +298,16 @@ def decompose(beta0: int, m: int) -> Decomposition:
 
 
 def second_frontier_closed_form(alpha0: int, beta0: int, m: int) -> Strategy:
-    """Closed-form h^2 for cutoff 1/(m+1): (r-alpha0) successes, (m-k)
-    failures, then two successes, the last of which crosses."""
-    dec = decompose(beta0, m)
-    if dec.r < alpha0:
-        raise ValueError("initial prior already exceeds threshold")
-    return Strategy.from_runs(
-        [(Action.SUCCESS, dec.r - alpha0), (Action.FAILURE, dec.m - dec.k), (Action.SUCCESS, 2)]
-    )
+    """Closed-form h^2 for cutoff 1/(m+1) and prior slack m*q + k: q
+    successes, (m-k) failures, then two successes, the last crossing."""
+    q, k = divmod(start_slack(alpha0, beta0, 1, m + 1), m)
+    return Strategy.from_runs([(Action.SUCCESS, q), (Action.FAILURE, m - k), (Action.SUCCESS, 2)])
+
+
+def check_index(index: FamilyIndex) -> None:
+    """Reject anything but an int >= 1 or math.inf (so no bool or 1.0)."""
+    if index != math.inf and (type(index) is not int or index < 1):
+        raise ValueError("index must be a positive integer or math.inf")
 
 
 def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex) -> Strategy:
@@ -319,11 +321,8 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     shortest cycle. The walk emits one run per block, so its cost is the
     number of blocks, not the word length.
     """
-    if index != math.inf and (not isinstance(index, int) or index < 1):
-        raise ValueError("index must be a positive integer or math.inf")
-    slack = BeliefState(alpha0, beta0).slack(c)
-    if slack < 0:
-        raise ValueError("initial prior already exceeds threshold")
+    check_index(index)
+    slack = start_slack(alpha0, beta0, c.num, c.den)
     short = c.den - c.num
     runs: list[Run] = []
     pos = 0  # word length so far

@@ -1,10 +1,12 @@
 """Exact-arithmetic belief tracking and cutoff logic."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from sandbag import Action, BeliefState, Threshold
+from sandbag import Action, BeliefState, Threshold, decompose
+from sandbag.belief import check_delta, start_slack
 
 
 class TestThreshold:
@@ -27,6 +29,11 @@ class TestThreshold:
     def test_from_m_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Threshold.from_m(0)
+
+    @pytest.mark.parametrize("num,den", [(True, 2), (1.5, 3), (1, 3.0), (2.0, 4)])
+    def test_rejects_bool_and_non_int_terms(self, num, den):
+        with pytest.raises(ValueError, match="integers"):
+            Threshold(num, den)
 
 
 class TestBeliefState:
@@ -60,6 +67,11 @@ class TestBeliefState:
     @pytest.mark.parametrize("alpha0,beta0", [(0, 3), (1, 0), (-1, 2)])
     def test_rejects_bad_prior(self, alpha0, beta0):
         with pytest.raises(ValueError):
+            BeliefState(alpha0, beta0)
+
+    @pytest.mark.parametrize("alpha0,beta0", [(True, 3), (1, True), (1.5, 3), (1, 3.0)])
+    def test_rejects_bool_and_non_int_prior(self, alpha0, beta0):
+        with pytest.raises(ValueError, match="pseudo-counts"):
             BeliefState(alpha0, beta0)
 
     def test_rejects_negative_counts(self):
@@ -109,6 +121,48 @@ class TestWithinThreshold:
         assert b.slack(c) == 2
         assert b.update(Action.SUCCESS).slack(c) == 1  # success costs den - num
         assert b.update(Action.FAILURE).slack(c) == 3  # failure pays num
+
+
+class TestStartSlack:
+    def test_generated_grid(self):
+        # every cutoff num/den in lowest terms with den <= 12; m = den - 1
+        # is the 1/(m+1) case, where the slack is m*q + k
+        for den in range(2, 13):
+            for num in (n for n in range(1, den) if math.gcd(n, den) == 1):
+                c = Threshold(num, den)
+                for alpha0 in range(1, 41):
+                    for beta0 in range(1, 41):
+                        if Fraction(alpha0, alpha0 + beta0) > c.as_fraction:
+                            with pytest.raises(ValueError, match="prior mean exceeds threshold"):
+                                start_slack(alpha0, beta0, num, den)
+                            continue
+                        slack = start_slack(alpha0, beta0, num, den)
+                        assert slack == BeliefState(alpha0, beta0).slack(c)
+                        if num == 1:
+                            dec = decompose(beta0, den - 1)
+                            assert divmod(slack, den - 1) == (dec.r - alpha0, dec.k)
+
+    @pytest.mark.parametrize(
+        "alpha0,beta0", [(0, 3), (-2, 3), (1, 0), (True, 3), (1, False), (1.0, 3), (1, 3.0)]
+    )
+    def test_rejects_bad_pseudo_counts(self, alpha0, beta0):
+        with pytest.raises(ValueError, match="pseudo-counts"):
+            start_slack(alpha0, beta0, 1, 2)
+
+    @pytest.mark.parametrize("num,den", [(1, 1), (0, 2), (2, 2), (1, 0), (-1, 2)])
+    def test_rejects_cutoff_outside_unit_interval(self, num, den):
+        # a 1/(m+1) closed form with m < 1 reaches the gate as one of these
+        with pytest.raises(ValueError, match="threshold"):
+            start_slack(1, 3, num, den)
+
+    @pytest.mark.parametrize("delta", [-0.1, 1.0, 1.5, math.nan, math.inf])
+    def test_check_delta_rejects(self, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
+            check_delta(delta)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, math.nextafter(1.0, 0.0)])
+    def test_check_delta_accepts(self, delta):
+        check_delta(delta)
 
 
 class TestMinFailures:

@@ -1,4 +1,5 @@
-"""Guards on the package's footprint: a stdlib-only import and runnable demos."""
+"""Guards on the package's footprint: a stdlib-only import, runnable demos, and
+one module deciding whether a prior starts within the cutoff."""
 
 import os
 import subprocess
@@ -29,3 +30,14 @@ def test_import_loads_no_numpy():
 def test_demo_exits_zero(demo):
     proc = run_python(str(ROOT / "demos" / demo))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_belief_decides_the_prior():
+    import sandbag.oracle
+
+    modules = sorted((ROOT / "src" / "sandbag").glob("*.py"))
+    deciders = [p.name for p in modules if "exceeds threshold" in p.read_text()]
+    assert deciders == ["belief.py"]
+    uses = [p.name for p in modules if "decompose(" in p.read_text().replace("def decompose(", "")]
+    assert uses == []
+    assert not hasattr(sandbag.oracle, "_start_slack")

@@ -218,3 +218,20 @@ class TestFrontierPayoff:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             frontier_payoff(1, 3, 1, 0, 0.5)
+
+    @pytest.mark.parametrize("index", [1.0, 2.0, True, False, 2.5])
+    def test_rejects_bool_and_float_index(self, index):
+        # 1.0 and True equal h^1's index, so they must be refused before the h^1 branch
+        with pytest.raises(ValueError, match="index"):
+            frontier_payoff(1, 3, 1, index, 0.5)
+
+    @pytest.mark.parametrize("alpha0", [0, -2])
+    @pytest.mark.parametrize("index", [1, 2, math.inf])
+    def test_rejects_nonpositive_alpha(self, alpha0, index):
+        with pytest.raises(ValueError, match="pseudo-counts"):
+            frontier_payoff(alpha0, 3, 1, index, 0.5)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_nonpositive_m(self, m):
+        with pytest.raises(ValueError):
+            frontier_payoff(1, 3, m, 1, 0.5)

@@ -1,6 +1,7 @@
 """Regime classification against the breakeven roots, and its cross-check."""
 
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ from sandbag import (
     breakeven_discount,
     classify,
     frontier_payoff,
+    frontier_strategy,
+    payoff,
     verify_ordering,
 )
 
@@ -101,6 +104,12 @@ class TestClassify:
         unique = classify(ProblemInstance(1, 3, 1, 0.5))
         assert unique.contains(1) and not unique.contains(2)
 
+    def test_contains_rejects_bool_and_float(self):
+        all_tie = classify(ProblemInstance(1, 3, 1, Z1))
+        high = classify(ProblemInstance(1, 5, 2, Z2))
+        for res in (all_tie, high):
+            assert not res.contains(True) and not res.contains(2.0)
+
     def test_tie_tol_band(self):
         res = classify(ProblemInstance(1, 3, 1, Z1 + 5e-10), tie_tol=1e-9)
         assert res.kind is OptimalKind.TIE_ALL
@@ -174,3 +183,36 @@ class TestVerifyOrdering:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             verify_ordering(ProblemInstance(1, 3, 1, 0.5), 1)
+
+    @pytest.mark.parametrize(
+        "alpha0,beta0,m,delta", [(1, 100001, 1, 0.7), (1, 300000, 3, 0.9), (1, 10**6, 8, 0.99)]
+    )
+    def test_agrees_at_large_q(self, alpha0, beta0, m, delta):
+        # the members differ by delta**q times their tails' gaps: below float resolution
+        # of the q-success head they share
+        inst = ProblemInstance(alpha0, beta0, m, delta)
+        rep = verify_ordering(inst, 6)
+        assert rep.agrees
+        assert rep.argmax == (math.inf,)
+        c = inst.threshold
+        for i, value in rep.payoffs.items():
+            assert value == payoff(frontier_strategy(alpha0, beta0, c, i), delta)
+
+    def test_agrees_on_seeded_large_prior_grid(self):
+        rng = random.Random(20240601)
+        checked = 0
+        while checked < 2000:
+            m = rng.randint(1, 9)
+            beta0 = m + int(10 ** rng.uniform(0, 6))
+            alpha0 = rng.randint(1, beta0 // m)  # q = (beta0 - m*alpha0) // m spans 0..~10^6
+            if rng.random() < 0.5:
+                delta = rng.uniform(0.01, 0.999)
+            else:
+                delta = 1.0 - 10 ** rng.uniform(-3.0, -0.5)
+            k = (beta0 - m * alpha0) % m
+            # keep clear of the tie band around each root, where classify reports a tie
+            if any(abs(delta - breakeven_discount(n).z) <= 1e-6 for n in {m, m - k} if n):
+                continue
+            checked += 1
+            inst = ProblemInstance(alpha0, beta0, m, delta)
+            assert verify_ordering(inst, 6).agrees, (alpha0, beta0, m, delta)

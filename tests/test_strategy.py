@@ -19,6 +19,7 @@ from sandbag import (
     parse_strategy,
     second_frontier_closed_form,
 )
+from sandbag.strategy import check_index
 
 C_HALF = Threshold(1, 2)
 
@@ -181,6 +182,16 @@ class TestFrontierFamily:
         with pytest.raises(ValueError, match="exceeds threshold"):
             second_frontier_closed_form(3, 2, 1)
 
+    @pytest.mark.parametrize("alpha0", [0, -2])
+    def test_second_member_rejects_nonpositive_alpha(self, alpha0):
+        with pytest.raises(ValueError, match="pseudo-counts"):
+            second_frontier_closed_form(alpha0, 3, 1)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_second_member_rejects_nonpositive_m(self, m):
+        with pytest.raises(ValueError):
+            second_frontier_closed_form(1, 3, m)
+
     @pytest.mark.parametrize(
         "index,text",
         [(1, "sss"), (2, "ssfss"), (3, "ssfsfss"), (math.inf, "ssfs(fs)*")],
@@ -210,6 +221,17 @@ class TestFrontierFamily:
     def test_rejects_bad_index(self, index):
         with pytest.raises(ValueError):
             frontier_strategy(1, 3, C_HALF, index)
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, 2.0, math.nan, "2", None])
+    def test_check_index_rejects_non_indices(self, index):
+        with pytest.raises(ValueError, match="index"):
+            check_index(index)
+        with pytest.raises(ValueError, match="index"):
+            frontier_strategy(1, 3, C_HALF, index)
+
+    @pytest.mark.parametrize("index", [1, 2, 10**6, math.inf, float("inf")])
+    def test_check_index_accepts_indices(self, index):
+        check_index(index)
 
     def test_family_grid_feasible_and_greedy(self):
         for alpha0 in range(1, 6):
