@@ -102,6 +102,14 @@ def start_slack(alpha0: int, beta0: int, num: int, den: int) -> int:
     return slack
 
 
+def split_slack(alpha0: int, beta0: int, m: int) -> tuple[int, int]:
+    """(q, k) with ``start_slack`` at cutoff 1/(m+1) equal to m*q + k,
+    0 <= k < m; m must be an int >= 1 (no bool, no 2.0)."""
+    if type(m) is not int or m < 1:
+        raise ValueError("m must be an integer >= 1")
+    return divmod(start_slack(alpha0, beta0, 1, m + 1), m)
+
+
 @dataclass(frozen=True)
 class BeliefState:
     """Monitor's posterior: Beta(alpha0 + successes, beta0 + failures)."""

@@ -4,8 +4,10 @@ Every subcommand emits a JSON envelope {command, params, result,
 version} by default, or flat CSV rows with --format csv. Each handler
 returns its payload and its table, the list of row dicts it reports;
 the CSV columns are fields of those rows, named in one map beside
-``render``. Results go to stdout unless --out is given; an existing
-output file is refused without --force.
+``render``. The JSON text is the same bytes as
+``json.dumps(envelope, indent=2, sort_keys=True)``, with flat parts
+written by the C encoder. Results go to stdout unless --out is given;
+an existing output file is refused without --force.
 
 Exit codes: 0 success, 2 usage or validation error, 3 input over a
 hard cap, checked before the work starts:
@@ -321,6 +323,42 @@ _CSV_COLUMNS = {
 }
 
 
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+def _flat(values) -> bool:
+    return all(isinstance(v, _SCALARS) for v in values)
+
+
+def _dumps(obj: Any, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with ``pad`` after each
+    newline. CPython's C encoder runs only without ``indent``, so a flat
+    container, or a list of flat non-empty dicts (a table), is encoded in
+    one C call with the newline and indent in its item separator."""
+    inner = pad + "  "
+    is_dict = isinstance(obj, dict)
+    if not (obj and (is_dict or isinstance(obj, (list, tuple)))):
+        return json.dumps(obj)  # a scalar or an empty container: one line
+    if _flat(obj.values() if is_dict else obj):
+        s = json.JSONEncoder(sort_keys=True, separators=(",\n" + inner, ": ")).encode(obj)
+        return f"{s[0]}\n{inner}{s[1:-1]}\n{pad}{s[-1]}"
+    if is_dict and not all(isinstance(k, str) for k in obj):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    if not is_dict and all(isinstance(r, dict) and r and _flat(r.values()) for r in obj):
+        # "},\n" + row + "{" can only be a row boundary: an encoded string
+        # holds no raw newline, and a flat row holds no nested "}"
+        row = inner + "  "
+        s = json.JSONEncoder(sort_keys=True, separators=(",\n" + row, ": ")).encode(obj)
+        s = s[2:-2].replace(f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
+        return f"[\n{inner}{{\n{row}{s}\n{inner}}}\n{pad}]"
+    if is_dict:
+        parts = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items())]
+    else:
+        parts = [_dumps(v, inner) for v in obj]
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{closing}"
+
+
 def render(args, payload: dict[str, Any], table: Table) -> str:
     if args.format == "csv":
         columns = _CSV_COLUMNS[args.command]
@@ -338,7 +376,7 @@ def render(args, payload: dict[str, Any], table: Table) -> str:
         "result": payload,
         "version": __version__,
     }
-    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    return _dumps(envelope) + "\n"
 
 
 def _write_output(args, text: str) -> None:

@@ -36,6 +36,13 @@ class OracleResult:
     horizon: int
 
 
+def _check_horizon(horizon: int) -> None:
+    if type(horizon) is not int:
+        raise ValueError("horizon must be an integer")  # bools too
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+
+
 def exhaustive_best(
     alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int
 ) -> OracleResult:
@@ -47,8 +54,7 @@ def exhaustive_best(
     Guarded at horizon <= 25 since the tree is exponential, and by the
     tree's node count, which must be at most EXHAUSTIVE_WORK_LIMIT.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    _check_horizon(horizon)
     if horizon > EXHAUSTIVE_LIMIT:
         raise LimitExceededError(
             f"exhaustive search is limited to horizon <= {EXHAUSTIVE_LIMIT}"
@@ -113,8 +119,7 @@ def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) 
     success count. Matches exhaustive_best bit for bit on overlapping
     horizons. Guarded at horizon <= 500.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    _check_horizon(horizon)
     if horizon > DP_LIMIT:
         raise LimitExceededError(f"dp oracle is limited to horizon <= {DP_LIMIT}")
     check_delta(delta)

@@ -24,7 +24,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .belief import Action, check_delta, start_slack
+from .belief import Action, check_delta, split_slack
 from .strategy import FamilyIndex, Run, Strategy, check_index
 
 _ULP_FLOOR = 1e-15  # bisection stops shrinking brackets below float spacing
@@ -115,7 +115,7 @@ def frontier_payoff(
     """
     check_index(index)
     check_delta(delta)
-    q, k = divmod(start_slack(alpha0, beta0, 1, m + 1), m)
+    q, k = split_slack(alpha0, beta0, m)
     log_delta = _log(delta)
     if index == 1:
         return _geometric(log_delta, q + 1)

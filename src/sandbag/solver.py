@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .belief import Threshold, start_slack
+from .belief import Threshold, split_slack, start_slack
 from .payoff import breakeven_discount, frontier_payoff, payoff
 from .strategy import FamilyIndex, frontier_strategy
 
@@ -73,10 +73,12 @@ class OptimalSet:
     payoffs: dict[FamilyIndex, float] = field(compare=False)
 
     def contains(self, index: FamilyIndex) -> bool:
+        if index != math.inf and type(index) is not int:
+            return False  # no bool, 1.0 or None, as in check_index
         if self.kind is OptimalKind.UNIQUE or self.kind is OptimalKind.TIE_LOW:
             return index in self.members
         lowest = 2 if self.kind is OptimalKind.TIE_HIGH else 1
-        return index == math.inf or (type(index) is int and index >= lowest)
+        return index == math.inf or index >= lowest
 
 
 def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
@@ -87,7 +89,7 @@ def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
     """
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ValueError("tie_tol must be nonnegative and finite")
-    k = start_slack(inst.alpha0, inst.beta0, 1, inst.m + 1) % inst.m
+    _, k = split_slack(inst.alpha0, inst.beta0, inst.m)
     z_high = breakeven_discount(inst.m).z
     z_low = breakeven_discount(inst.m - k).z if k >= 1 else z_high
 

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .belief import Action, BeliefState, Threshold, start_slack
+from .belief import Action, BeliefState, Threshold, split_slack, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
@@ -300,7 +300,7 @@ def decompose(beta0: int, m: int) -> Decomposition:
 def second_frontier_closed_form(alpha0: int, beta0: int, m: int) -> Strategy:
     """Closed-form h^2 for cutoff 1/(m+1) and prior slack m*q + k: q
     successes, (m-k) failures, then two successes, the last crossing."""
-    q, k = divmod(start_slack(alpha0, beta0, 1, m + 1), m)
+    q, k = split_slack(alpha0, beta0, m)
     return Strategy.from_runs([(Action.SUCCESS, q), (Action.FAILURE, m - k), (Action.SUCCESS, 2)])
 
 

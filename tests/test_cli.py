@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandbag import cli
 from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
@@ -492,3 +495,110 @@ class TestOutputHandling:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--alpha", "1"])
         assert exc.value.code == EXIT_USAGE
+
+
+# The JSON writer: cli._dumps must print exactly what
+# json.dumps(obj, indent=2, sort_keys=True) prints.
+
+_TRICKY = ["},\n      {", "},\n    {", '", "', "}", "{", ": ", ",\n", "\\", "\u00e9\u2028"]
+_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(_TRICKY))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.text(max_size=8),
+    st.sampled_from(_TRICKY),
+)
+_ROWS = st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=4)
+_TABLES = st.lists(st.one_of(_ROWS, st.just({})), max_size=4)  # rows with different keys
+_JSON = st.recursive(
+    st.one_of(_SCALARS, _TABLES, st.just({}), st.just([])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_KEYS, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_JSON)
+def test_dumps_matches_stdlib(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rows": [{"a": 1, "b": "},\n      {"}, {"c": math.nan}], "x": {"y": []}},
+        [[{"a": 1}], [{}], {"t": [{"a": -0.0}]}],
+        {"k": (1, 2), "t": ({"a": 1}, {"b": 2})},
+        {"outer": {1: [2], 2: {"a": [3]}}},  # non-str keys in a nested dict
+        {"flat": {1.5: "x", True: None, 3: -math.inf}},
+    ],
+)
+def test_dumps_matches_stdlib_on_edge_shapes(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+_ENVELOPE_ARGVS = [
+    ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0.5"),
+    ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0.6180339887"),
+    ("solve", "--alpha", "1", "--beta", "5", "--m", "2", "--delta", "0.7"),
+    ("enumerate", "--alpha", "1", "--beta", "5", "--c-num", "1", "--c-den", "3",
+     "--max-index", "4"),
+    ("enumerate", "--alpha", "2", "--beta", "9", "--c-num", "2", "--c-den", "5",
+     "--max-index", "1"),
+    ("evaluate", "--strategy", "ssfs(fs)*", "--delta", "0.5"),
+    ("evaluate", "--strategy", "sf", "--delta", "0"),
+    ("oracle", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+     "--delta", "0.5", "--mode", "dp", "--horizon", "30"),
+    ("oracle", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+     "--delta", "0.5", "--mode", "exhaustive", "--horizon", "8"),
+    ("oracle", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+     "--delta", "0.5", "--mode", "vi"),
+    ("thresholds", "--n-max", "7"),
+    ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+     "--strategy", "ssfss", "--max-periods", "10", "--delta", "0.5"),
+    ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+     "--guesser-p", "0.5", "--seed", "7", "--max-periods", "6"),
+    ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+     "--strategy", "sss", "--max-periods", "2"),
+    ("sweep", "--alpha", "1", "--beta", "5", "--m", "2", "--delta-min", "0.55",
+     "--delta-max", "0.8", "--step", "0.05"),
+    ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0.3",
+     "--delta-max", "0.31", "--step", "0.05"),
+]
+
+
+def test_every_envelope_matches_stdlib_render(capsys, monkeypatch):
+    assert {argv[0] for argv in _ENVELOPE_ARGVS} == set(cli._HANDLERS)
+    for argv in _ENVELOPE_ARGVS:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_dumps", lambda obj: json.dumps(obj, indent=2, sort_keys=True))
+            assert run(capsys, *argv) == (code, out, err), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--alpha", "1", "--beta", "5", "--m", "2", "--delta-min", "0.5",
+         "--delta-max", "0.9", "--step", "0.001"),
+        ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+         "--strategy", "ssfs(fs)*", "--max-periods", "50", "--delta", "0.5"),
+        ("thresholds", "--n-max", "40"),
+    ],
+)
+def test_render_never_runs_the_pure_python_encoder(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", fail)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({"a": [1]}, indent=2)  # the patch reaches the indent path
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["command"] == argv[0]

@@ -119,6 +119,14 @@ class TestDpValue:
             dp_value(1, 3, C_HALF, 0.5, 501)
 
 
+@pytest.mark.parametrize("oracle", [exhaustive_best, dp_value])
+@pytest.mark.parametrize("horizon", [True, False, 2.0, 1.5, "3", None])
+def test_rejects_bool_and_non_int_horizon(oracle, horizon):
+    # True == 1: exhaustive_best ran it as horizon 1 and reported horizon=True
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        oracle(1, 3, C_HALF, 0.5, horizon)
+
+
 class TestValueIteration:
     def test_infinite_regime(self):
         got = value_iteration(1, 3, C_HALF, 0.7)

@@ -235,3 +235,10 @@ class TestFrontierPayoff:
     def test_rejects_nonpositive_m(self, m):
         with pytest.raises(ValueError):
             frontier_payoff(1, 3, m, 1, 0.5)
+
+    @pytest.mark.parametrize("m", [2.0, True, False, 1.5, "2", None])
+    @pytest.mark.parametrize("index", [1, 2, math.inf])
+    def test_rejects_bool_and_float_m(self, m, index):
+        # 2.0 == 2 and True == 1, so they would be priced as m = 2 and m = 1
+        with pytest.raises(ValueError, match="m must be an integer"):
+            frontier_payoff(1, 5, m, index, 0.7)

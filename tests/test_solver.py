@@ -110,6 +110,16 @@ class TestClassify:
         for res in (all_tie, high):
             assert not res.contains(True) and not res.contains(2.0)
 
+    def test_contains_rejects_bool_and_float_for_finite_sets(self):
+        unique = classify(ProblemInstance(1, 3, 1, 0.5))
+        low = classify(ProblemInstance(1, 5, 2, Z1))
+        assert (unique.kind, low.kind) == (OptimalKind.UNIQUE, OptimalKind.TIE_LOW)
+        for res in (unique, low):
+            assert res.contains(1)
+            for index in (True, 1.0, None, "1"):
+                assert not res.contains(index), (res.kind, index)
+        assert low.contains(2) and not low.contains(2.0) and not low.contains(math.inf)
+
     def test_tie_tol_band(self):
         res = classify(ProblemInstance(1, 3, 1, Z1 + 5e-10), tie_tol=1e-9)
         assert res.kind is OptimalKind.TIE_ALL

@@ -192,6 +192,11 @@ class TestFrontierFamily:
         with pytest.raises(ValueError):
             second_frontier_closed_form(1, 3, m)
 
+    @pytest.mark.parametrize("m", [2.0, True, False, 1.5, "2", None])
+    def test_second_member_rejects_bool_and_float_m(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            second_frontier_closed_form(1, 5, m)
+
     @pytest.mark.parametrize(
         "index,text",
         [(1, "sss"), (2, "ssfss"), (3, "ssfsfss"), (math.inf, "ssfs(fs)*")],
