@@ -6,20 +6,15 @@ its mean strictly exceeds a cutoff. This package builds the frontier
 family of candidate-optimal schedules, classifies which member wins at
 a given discount factor, and cross-checks the answer with brute-force
 game-tree oracles and simulation.
+
+The value types are NamedTuples. Names from ``oracle`` and ``sim`` resolve on
+first use, so ``import sandbag`` runs neither, nor imports ``fractions``.
 """
 
-from .belief import Action, BeliefState, Threshold
-from .oracle import (
-    DP_LIMIT,
-    EXHAUSTIVE_LIMIT,
-    LimitExceededError,
-    OracleResult,
-    dp_value,
-    exhaustive_best,
-    value_iteration,
-)
+import importlib
+
+from .belief import Action, BeliefState, LimitExceededError, Threshold
 from .payoff import BreakevenRoot, breakeven_discount, frontier_payoff, payoff
-from .sim import GuesserConfig, Trajectory, TrajectoryRecord, play_guesser, play_strategy
 from .solver import (
     OptimalKind,
     OptimalSet,
@@ -43,6 +38,18 @@ from .strategy import (
 )
 
 __version__ = "0.1.0"
+
+_SIM_NAMES = {"GuesserConfig", "Trajectory", "TrajectoryRecord", "play_guesser", "play_strategy"}
+
+
+def __getattr__(name: str):
+    """Import ``sim``, or else ``oracle``, on first use of its names in ``__all__`` (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{'sim' if name in _SIM_NAMES else 'oracle'}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
 
 __all__ = [
     "Action",

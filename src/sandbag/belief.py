@@ -11,9 +11,15 @@ so boundary cases never depend on floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+class LimitExceededError(RuntimeError):
+    """An input is beyond a hard size cap."""
 
 
 class Action(str, Enum):
@@ -26,37 +32,39 @@ class Action(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Threshold:
+class _Ratio(NamedTuple):
+    num: int
+    den: int
+
+
+class Threshold(_Ratio):
     """Rational suspicion cutoff ``c = num / den`` with 0 < c < 1.
 
     Stored in lowest terms; construction reduces the ratio.
     """
 
-    num: int
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.num) is not int or type(self.den) is not int:
+    def __new__(cls, num: int, den: int):
+        if type(num) is not int or type(den) is not int:
             raise ValueError("threshold terms must be integers")
-        if self.den <= 0:
+        if den <= 0:
             raise ValueError("threshold denominator must be positive")
-        if not 0 < self.num < self.den:
+        if not 0 < num < den:
             raise ValueError("threshold must satisfy 0 < num/den < 1")
-        g = math.gcd(self.num, self.den)
-        if g > 1:
-            object.__setattr__(self, "num", self.num // g)
-            object.__setattr__(self, "den", self.den // g)
+        g = math.gcd(num, den)
+        return super().__new__(cls, num // g, den // g)
 
     @classmethod
     def from_m(cls, m: int) -> "Threshold":
         """Cutoff of the form 1/(m+1) for integer m >= 1."""
-        if m < 1:
-            raise ValueError("m must be a positive integer")
+        check_m(m)
         return cls(1, m + 1)
 
     @property
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num, self.den)
 
     def step(self, slack: int, outcome: Action, count: int = 1) -> int:
@@ -102,31 +110,41 @@ def start_slack(alpha0: int, beta0: int, num: int, den: int) -> int:
     return slack
 
 
-def split_slack(alpha0: int, beta0: int, m: int) -> tuple[int, int]:
-    """(q, k) with ``start_slack`` at cutoff 1/(m+1) equal to m*q + k,
-    0 <= k < m; m must be an int >= 1 (no bool, no 2.0)."""
+def check_m(m: int) -> None:
+    """Require the cutoff period m of 1/(m+1) to be an int >= 1 (no bool, no 2.0)."""
     if type(m) is not int or m < 1:
         raise ValueError("m must be an integer >= 1")
+
+
+def split_slack(alpha0: int, beta0: int, m: int) -> tuple[int, int]:
+    """(q, k) with ``start_slack`` at cutoff 1/(m+1) equal to m*q + k, 0 <= k < m."""
+    check_m(m)
     return divmod(start_slack(alpha0, beta0, 1, m + 1), m)
 
 
-@dataclass(frozen=True)
-class BeliefState:
-    """Monitor's posterior: Beta(alpha0 + successes, beta0 + failures)."""
-
+class _Counts(NamedTuple):
     alpha0: int
     beta0: int
     successes: int = 0
     failures: int = 0
 
-    def __post_init__(self) -> None:
-        _check_prior(self.alpha0, self.beta0)
-        if self.successes < 0 or self.failures < 0:
+
+class BeliefState(_Counts):
+    """Monitor's posterior: Beta(alpha0 + successes, beta0 + failures)."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha0: int, beta0: int, successes: int = 0, failures: int = 0):
+        _check_prior(alpha0, beta0)
+        if successes < 0 or failures < 0:
             raise ValueError("observation counts must be nonnegative")
+        return super().__new__(cls, alpha0, beta0, successes, failures)
 
     @property
     def posterior_mean(self) -> Fraction:
         """Exact posterior mean of the success probability."""
+        from fractions import Fraction
+
         a = self.alpha0 + self.successes
         b = self.beta0 + self.failures
         return Fraction(a, a + b)

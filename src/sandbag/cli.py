@@ -23,7 +23,6 @@ hard cap, checked before the work starts:
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -31,11 +30,9 @@ import sys
 from typing import Any, Sequence
 
 from . import __version__
-from .belief import Action, Threshold
-from .oracle import LimitExceededError, dp_value, exhaustive_best, value_iteration
+from .belief import Action, LimitExceededError, Threshold
 from .payoff import breakeven_discount, payoff
 from .solver import OptimalKind, ProblemInstance, classify
-from .sim import GuesserConfig, play_guesser, play_strategy
 from .strategy import Strategy, format_strategy, frontier_strategy, parse_strategy
 
 EXIT_OK = 0
@@ -200,19 +197,21 @@ def _cmd_evaluate(args) -> tuple[dict[str, Any], Table]:
 
 
 def _cmd_oracle(args) -> tuple[dict[str, Any], Table]:
+    from . import oracle
+
     c = Threshold(args.c_num, args.c_den)
     payload: dict[str, Any] = {"mode": args.mode}
     if args.mode == "vi":
-        value = value_iteration(args.alpha, args.beta, c, args.delta, tol=args.tol)
+        value = oracle.value_iteration(args.alpha, args.beta, c, args.delta, tol=args.tol)
         payload.update(value=value, tol=args.tol)
     elif args.horizon is None:
         raise ValueError(f"--horizon is required for mode {args.mode}")
     elif args.mode == "exhaustive":
-        res = exhaustive_best(args.alpha, args.beta, c, args.delta, args.horizon)
+        res = oracle.exhaustive_best(args.alpha, args.beta, c, args.delta, args.horizon)
         best = "".join(a.value for a in res.best_sequence)
         payload.update(value=res.value, horizon=args.horizon, best_sequence=best)
     else:
-        value = dp_value(args.alpha, args.beta, c, args.delta, args.horizon)
+        value = oracle.dp_value(args.alpha, args.beta, c, args.delta, args.horizon)
         payload.update(value=value, horizon=args.horizon)
     return payload, [payload]
 
@@ -227,19 +226,21 @@ def _cmd_thresholds(args) -> tuple[dict[str, Any], Table]:
 
 
 def _cmd_simulate(args) -> tuple[dict[str, Any], Table]:
+    from . import sim
+
     c = Threshold(args.c_num, args.c_den)
     if (args.strategy is None) == (args.guesser_p is None):
         raise ValueError("exactly one of --strategy and --guesser-p is required")
     _check_rows("--max-periods", args.max_periods)
     if args.strategy is not None:
         x = parse_strategy(args.strategy)
-        traj = play_strategy(args.alpha, args.beta, c, x, args.delta, args.max_periods)
+        traj = sim.play_strategy(args.alpha, args.beta, c, x, args.delta, args.max_periods)
         source: dict[str, Any] = {"strategy": args.strategy}
     else:
         if args.seed is None:
             raise ValueError("--seed is required with --guesser-p")
-        cfg = GuesserConfig(args.guesser_p, args.seed)
-        traj = play_guesser(args.alpha, args.beta, c, cfg, args.delta, args.max_periods)
+        cfg = sim.GuesserConfig(args.guesser_p, args.seed)
+        traj = sim.play_guesser(args.alpha, args.beta, c, cfg, args.delta, args.max_periods)
         source = {"guesser_p": args.guesser_p, "seed": args.seed}
     records = [
         {
@@ -361,6 +362,8 @@ def _dumps(obj: Any, pad: str = "") -> str:
 
 def render(args, payload: dict[str, Any], table: Table) -> str:
     if args.format == "csv":
+        import csv
+
         columns = _CSV_COLUMNS[args.command]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -15,9 +15,9 @@ the Bellman operator over the finitely many reachable slack states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .belief import Action, Threshold, check_delta, start_slack
+from .belief import Action, LimitExceededError, Threshold, check_delta, start_slack
 
 EXHAUSTIVE_LIMIT = 25
 EXHAUSTIVE_WORK_LIMIT = 6_000_000  # most tree nodes one exhaustive_best may visit
@@ -25,12 +25,7 @@ DP_LIMIT = 500
 VI_WORK_LIMIT = 5_000_000  # most estimated state updates, states x sweeps, of one value_iteration
 
 
-class LimitExceededError(RuntimeError):
-    """An input is beyond a hard size cap."""
-
-
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: float
     best_sequence: tuple[Action, ...]
     horizon: int

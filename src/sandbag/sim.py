@@ -12,23 +12,21 @@ platforms for a fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .belief import Action, Threshold, check_delta, start_slack
 from .strategy import Strategy
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     period: int  # 1-based
     action: Action
     posterior_mean: Fraction  # mean after observing the action
     crossed: bool
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     records: tuple[TrajectoryRecord, ...]
     terminated: bool  # monitor quit (cutoff strictly exceeded)
     discounted_payoff: float | None  # only when a delta was supplied
@@ -38,16 +36,31 @@ class Trajectory:
         return self.records[-1].period if self.terminated else None
 
 
-@dataclass(frozen=True)
-class GuesserConfig:
-    """Stand-in player succeeding i.i.d. with probability p_true."""
-
+class _Guesser(NamedTuple):
     p_true: float
     seed: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_true <= 1.0:
+
+class GuesserConfig(_Guesser):
+    """Stand-in player succeeding i.i.d. with probability p_true."""
+
+    __slots__ = ()
+
+    def __new__(cls, p_true: float, seed: int):
+        if isinstance(p_true, bool) or not isinstance(p_true, (int, float)):
+            raise ValueError("p_true must be a number, not a bool")
+        if not 0.0 <= p_true <= 1.0:
             raise ValueError("p_true must lie in [0, 1]")
+        if type(seed) is not int:
+            raise ValueError("seed must be an integer")  # bools too
+        return super().__new__(cls, p_true, seed)
+
+
+def _check_max_periods(max_periods: int) -> None:
+    if type(max_periods) is not int:
+        raise ValueError("max_periods must be an integer")  # bools too
+    if max_periods < 1:
+        raise ValueError("max_periods must be at least 1")
 
 
 def _run(
@@ -58,8 +71,6 @@ def _run(
     delta: float | None,
     max_periods: int,
 ) -> Trajectory:
-    if max_periods < 1:
-        raise ValueError("max_periods must be at least 1")
     if delta is not None:
         check_delta(delta)
     slack = start_slack(alpha0, beta0, c.num, c.den)
@@ -105,8 +116,7 @@ def play_strategy(
     ValueError is raised. ``max_periods`` caps infinite schedules only,
     which then stop with ``terminated`` False.
     """
-    if max_periods < 1:
-        raise ValueError("max_periods must be at least 1")
+    _check_max_periods(max_periods)
     cap = x.length if x.is_finite else max_periods
     traj = _run(alpha0, beta0, c, x.actions(limit=cap), delta, cap)
     if x.is_finite and not traj.terminated:
@@ -123,6 +133,7 @@ def play_guesser(
     max_periods: int = 10_000,
 ) -> Trajectory:
     """Run an i.i.d. success/failure source until crossing or the cap."""
+    _check_max_periods(max_periods)
     rng = random.Random(guesser.seed)
 
     def draws():

@@ -18,8 +18,8 @@ the whole family ties there at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .belief import Threshold, split_slack, start_slack
 from .payoff import breakeven_discount, frontier_payoff, payoff
@@ -33,31 +33,33 @@ class OptimalKind(str, Enum):
     TIE_ALL = "tie_all"  # the whole family ties at delta = z(m), k = 0
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """Prior Beta(alpha0, beta0), cutoff 1/(m+1), discount delta."""
-
+class _Instance(NamedTuple):
     alpha0: int
     beta0: int
     m: int
     delta: float
 
-    def __post_init__(self) -> None:
-        for name in ("alpha0", "beta0", "m"):
-            v = getattr(self, name)
+
+class ProblemInstance(_Instance):
+    """Prior Beta(alpha0, beta0), cutoff 1/(m+1), discount delta."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha0: int, beta0: int, m: int, delta: float):
+        for name, v in (("alpha0", alpha0), ("beta0", beta0), ("m", m)):
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
-        start_slack(self.alpha0, self.beta0, 1, self.m + 1)
-        if not 0.0 < self.delta < 1.0:
+        start_slack(alpha0, beta0, 1, m + 1)
+        if not 0.0 < delta < 1.0:
             raise ValueError("delta out of range")
+        return super().__new__(cls, alpha0, beta0, m, delta)
 
     @property
     def threshold(self) -> Threshold:
         return Threshold.from_m(self.m)
 
 
-@dataclass(frozen=True)
-class OptimalSet:
+class OptimalSet(NamedTuple):
     """Solver output: which family members are optimal at this delta.
 
     ``members`` lists representative indices; for TIE_HIGH and TIE_ALL
@@ -70,7 +72,16 @@ class OptimalSet:
     members: tuple[FamilyIndex, ...]
     z_low: float
     z_high: float
-    payoffs: dict[FamilyIndex, float] = field(compare=False)
+    payoffs: dict[FamilyIndex, float]  # not compared or hashed
+
+    def __eq__(self, other):
+        return self[:4] == other[:4] if type(other) is OptimalSet else NotImplemented
+
+    def __ne__(self, other):
+        return self[:4] != other[:4] if type(other) is OptimalSet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     def contains(self, index: FamilyIndex) -> bool:
         if index != math.inf and type(index) is not int:
@@ -113,8 +124,7 @@ def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
     return build(OptimalKind.UNIQUE, (math.inf,))
 
 
-@dataclass(frozen=True)
-class OrderingReport:
+class OrderingReport(NamedTuple):
     """Cross-check of classify against directly evaluated schedules."""
 
     argmax: tuple[FamilyIndex, ...]

@@ -25,10 +25,9 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
-from .belief import Action, BeliefState, Threshold, split_slack, start_slack
+from .belief import Action, BeliefState, Threshold, check_m, split_slack, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
@@ -80,8 +79,12 @@ def _slice(runs: Iterable[Run], start: int, stop: int) -> list[Run]:
     return out
 
 
-@dataclass(frozen=True, init=False)
-class Strategy:
+class _Runs(NamedTuple):
+    prefix_runs: tuple[Run, ...]
+    cycle_runs: tuple[Run, ...] | None
+
+
+class Strategy(_Runs):
     """Finite or eventually periodic outcome schedule.
 
     ``Strategy(prefix, cycle)`` takes per-action tuples and
@@ -92,15 +95,8 @@ class Strategy:
     expanded from the runs on first read and then cached.
     """
 
-    prefix_runs: tuple[Run, ...]
-    cycle_runs: tuple[Run, ...] | None
-
-    def __init__(
-        self, prefix: Iterable[Action], cycle: Iterable[Action] | None = None
-    ) -> None:
-        self._set_runs(
-            _merge(_grouped(prefix)), None if cycle is None else _merge(_grouped(cycle))
-        )
+    def __new__(cls, prefix: Iterable[Action], cycle: Iterable[Action] | None = None):
+        return cls.from_runs(_grouped(prefix), None if cycle is None else _grouped(cycle))
 
     @classmethod
     def from_runs(
@@ -110,18 +106,20 @@ class Strategy:
     ) -> "Strategy":
         """Build from ``(action, count)`` runs; zero counts are allowed
         and dropped, and equal neighbours are joined."""
-        x = cls.__new__(cls)
-        x._set_runs(_merge(prefix_runs), None if cycle_runs is None else _merge(cycle_runs))
-        return x
-
-    def _set_runs(self, prefix_runs: tuple[Run, ...], cycle_runs: tuple[Run, ...] | None) -> None:
+        prefix_runs = _merge(prefix_runs)
+        cycle_runs = None if cycle_runs is None else _merge(cycle_runs)
         if cycle_runs is None:
             if not prefix_runs:
                 raise ValueError("finite strategy must contain at least one action")
         elif not cycle_runs:
             raise ValueError("cycle must contain at least one action")
-        object.__setattr__(self, "prefix_runs", prefix_runs)
-        object.__setattr__(self, "cycle_runs", cycle_runs)
+        return super().__new__(cls, prefix_runs, cycle_runs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return Strategy.from_runs, tuple(self)
 
     @functools.cached_property
     def prefix(self) -> tuple[Action, ...]:
@@ -274,8 +272,7 @@ def greedy_violations(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> lis
     return out
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Division of the prior failure weight by the cutoff period.
 
     For c = 1/(m+1), writes beta0 = m*r + k with 0 <= k < m, r >= 1.
@@ -287,10 +284,9 @@ class Decomposition:
 
 
 def decompose(beta0: int, m: int) -> Decomposition:
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if beta0 < 1:
-        raise ValueError("beta0 must be a positive integer")
+    check_m(m)
+    if type(beta0) is not int or beta0 < 1:
+        raise ValueError("beta0 must be an integer >= 1")
     r, k = divmod(beta0, m)
     if r < 1:
         raise ValueError("beta0 must be at least m")

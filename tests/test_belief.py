@@ -30,6 +30,11 @@ class TestThreshold:
         with pytest.raises(ValueError):
             Threshold.from_m(0)
 
+    @pytest.mark.parametrize("m", [True, False, 2.0, 1.5, 0, -1])
+    def test_from_m_rejects_bool_and_non_int(self, m):
+        with pytest.raises(ValueError, match=r"m must be an integer >= 1"):
+            Threshold.from_m(m)
+
     @pytest.mark.parametrize("num,den", [(True, 2), (1.5, 3), (1, 3.0), (2.0, 4)])
     def test_rejects_bool_and_non_int_terms(self, num, den):
         with pytest.raises(ValueError, match="integers"):

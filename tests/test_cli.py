@@ -384,14 +384,14 @@ _CAPS = {
         ROW_LIMIT + 1,
     ),
     "simulate-strategy-rows": (
-        ["sandbag.cli.play_strategy"],
+        ["sandbag.sim.play_strategy"],
         lambda v: ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "3",
                    "--strategy", "(ffs)*", "--max-periods", str(v)),
         ROW_LIMIT,
         ROW_LIMIT + 1,
     ),
     "simulate-guesser-rows": (
-        ["sandbag.cli.play_guesser"],
+        ["sandbag.sim.play_guesser"],
         lambda v: ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "3",
                    "--guesser-p", "0", "--seed", "1", "--max-periods", str(v)),
         ROW_LIMIT,

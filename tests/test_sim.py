@@ -86,6 +86,12 @@ class TestPlayStrategy:
         with pytest.raises(ValueError):
             play_strategy(1, 3, C_HALF, parse_strategy("sss"), max_periods=0)
 
+    @pytest.mark.parametrize("strategy", ["sss", "(fs)*"])
+    @pytest.mark.parametrize("max_periods", [True, 2.5, 3.0, None])
+    def test_rejects_bool_and_non_int_max_periods(self, strategy, max_periods):
+        with pytest.raises(ValueError, match="max_periods must be an integer"):
+            play_strategy(1, 3, C_HALF, parse_strategy(strategy), max_periods=max_periods)
+
     def test_rejects_prior_above_cutoff(self):
         with pytest.raises(ValueError, match="exceeds threshold"):
             play_strategy(3, 1, C_HALF, parse_strategy("s"))
@@ -125,6 +131,21 @@ class TestPlayGuesser:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             GuesserConfig(1.2, 0)
+
+    @pytest.mark.parametrize("p_true", [True, False, "0.5", None])
+    def test_rejects_bool_and_non_number_p(self, p_true):
+        with pytest.raises(ValueError, match="p_true"):
+            GuesserConfig(p_true, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, None, "7"])
+    def test_rejects_bool_and_non_int_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            GuesserConfig(0.3, seed)
+
+    @pytest.mark.parametrize("max_periods", [True, 2.5, 0.0, 0, -1])
+    def test_rejects_bad_max_periods(self, max_periods):
+        with pytest.raises(ValueError, match="max_periods"):
+            play_guesser(1, 3, C_HALF, GuesserConfig(0.5, 1), max_periods=max_periods)
 
     def test_payoff_accounting_matches_records(self):
         traj = play_guesser(1, 3, C_HALF, GuesserConfig(0.6, 77), delta=0.9, max_periods=50)

@@ -169,6 +169,16 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(3, 0)
 
+    @pytest.mark.parametrize("m", [True, 2.0, 1.5])
+    def test_rejects_bool_and_float_m(self, m):
+        with pytest.raises(ValueError, match=r"m must be an integer >= 1"):
+            decompose(5, m)
+
+    @pytest.mark.parametrize("beta0", [True, 5.0, 0])
+    def test_rejects_bool_and_non_int_beta0(self, beta0):
+        with pytest.raises(ValueError, match=r"beta0 must be an integer >= 1"):
+            decompose(beta0, 1)
+
 
 class TestFrontierFamily:
     @pytest.mark.parametrize(
