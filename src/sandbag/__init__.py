@@ -7,8 +7,11 @@ family of candidate-optimal schedules, classifies which member wins at
 a given discount factor, and cross-checks the answer with brute-force
 game-tree oracles and simulation.
 
-The value types are NamedTuples. Names from ``oracle`` and ``sim`` resolve on
-first use, so ``import sandbag`` runs neither, nor imports ``fractions``.
+The value types are namedtuples. ``Threshold``, ``BeliefState``, ``Strategy``,
+``ProblemInstance`` and ``GuesserConfig`` derive from ``belief.checked``: every
+way of building one runs its check, and each equals only its own type. Names
+from ``oracle`` and ``sim`` resolve on first use, so ``import sandbag`` runs
+neither, nor imports ``fractions``.
 """
 
 import importlib

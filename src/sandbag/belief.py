@@ -10,9 +10,10 @@ so boundary cases never depend on floating point.
 
 from __future__ import annotations
 
+import collections
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,12 +33,30 @@ class Action(str, Enum):
         return self.value
 
 
-class _Ratio(NamedTuple):
-    num: int
-    den: int
+def checked(typename: str, fields: str) -> type:
+    """Namedtuple base for a value type that checks its fields in ``__new__``:
+    ``_make`` and ``_replace`` build through that constructor, and a value
+    equals only values of its own type (the hash stays the tuple hash)."""
+
+    class Checked(collections.namedtuple(typename, fields)):
+        __slots__ = ()
+
+        @classmethod
+        def _make(cls, iterable):
+            return cls(*iterable)
+
+        def __eq__(self, other):
+            return type(other) is type(self) and tuple.__eq__(self, other)
+
+        def __ne__(self, other):
+            return type(other) is not type(self) or tuple.__ne__(self, other)
+
+        __hash__ = tuple.__hash__
+
+    return Checked
 
 
-class Threshold(_Ratio):
+class Threshold(checked("Threshold", "num den")):
     """Rational suspicion cutoff ``c = num / den`` with 0 < c < 1.
 
     Stored in lowest terms; construction reduces the ratio.
@@ -122,22 +141,15 @@ def split_slack(alpha0: int, beta0: int, m: int) -> tuple[int, int]:
     return divmod(start_slack(alpha0, beta0, 1, m + 1), m)
 
 
-class _Counts(NamedTuple):
-    alpha0: int
-    beta0: int
-    successes: int = 0
-    failures: int = 0
-
-
-class BeliefState(_Counts):
+class BeliefState(checked("BeliefState", "alpha0 beta0 successes failures")):
     """Monitor's posterior: Beta(alpha0 + successes, beta0 + failures)."""
 
     __slots__ = ()
 
     def __new__(cls, alpha0: int, beta0: int, successes: int = 0, failures: int = 0):
         _check_prior(alpha0, beta0)
-        if successes < 0 or failures < 0:
-            raise ValueError("observation counts must be nonnegative")
+        if any(type(n) is not int or n < 0 for n in (successes, failures)):
+            raise ValueError("observation counts must be nonnegative integers")  # bools too
         return super().__new__(cls, alpha0, beta0, successes, failures)
 
     @property
@@ -175,10 +187,3 @@ class BeliefState(_Counts):
         a = self.alpha0 + self.successes
         b = self.beta0 + self.failures
         return c.num * b - (c.den - c.num) * a
-
-    def min_failures_for_next_success(self, c: Threshold) -> int:
-        """Fewest failures to log before one more success keeps the mean within c.
-
-        Returns 0 when a success is already affordable from this state.
-        """
-        return c.padding(self.slack(c))

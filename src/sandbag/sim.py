@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .belief import Action, Threshold, check_delta, start_slack
+from .belief import Action, Threshold, check_delta, checked, start_slack
 from .strategy import Strategy
 
 
@@ -36,12 +36,7 @@ class Trajectory(NamedTuple):
         return self.records[-1].period if self.terminated else None
 
 
-class _Guesser(NamedTuple):
-    p_true: float
-    seed: int
-
-
-class GuesserConfig(_Guesser):
+class GuesserConfig(checked("GuesserConfig", "p_true seed")):
     """Stand-in player succeeding i.i.d. with probability p_true."""
 
     __slots__ = ()

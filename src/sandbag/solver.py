@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .belief import Threshold, split_slack, start_slack
+from .belief import Threshold, checked, split_slack, start_slack
 from .payoff import breakeven_discount, frontier_payoff, payoff
 from .strategy import FamilyIndex, frontier_strategy
 
@@ -33,14 +33,7 @@ class OptimalKind(str, Enum):
     TIE_ALL = "tie_all"  # the whole family ties at delta = z(m), k = 0
 
 
-class _Instance(NamedTuple):
-    alpha0: int
-    beta0: int
-    m: int
-    delta: float
-
-
-class ProblemInstance(_Instance):
+class ProblemInstance(checked("ProblemInstance", "alpha0 beta0 m delta")):
     """Prior Beta(alpha0, beta0), cutoff 1/(m+1), discount delta."""
 
     __slots__ = ()
@@ -143,8 +136,8 @@ def verify_ordering(inst: ProblemInstance, n_max: int, atol: float = 1e-10) -> O
     Beta(alpha0 + q, beta0), which drop the q free successes all members
     open with: at large q those hide the differences below float resolution.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    if type(n_max) is not int or n_max < 2:
+        raise ValueError("n_max must be an integer >= 2")  # bools too
     c = inst.threshold
     q = start_slack(inst.alpha0, inst.beta0, c.num, c.den) // (c.den - c.num)
     indices: list[FamilyIndex] = [*range(1, n_max + 1), math.inf]

@@ -27,7 +27,7 @@ import math
 import re
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .belief import Action, BeliefState, Threshold, check_m, split_slack, start_slack
+from .belief import Action, BeliefState, Threshold, check_m, checked, split_slack, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
@@ -79,12 +79,7 @@ def _slice(runs: Iterable[Run], start: int, stop: int) -> list[Run]:
     return out
 
 
-class _Runs(NamedTuple):
-    prefix_runs: tuple[Run, ...]
-    cycle_runs: tuple[Run, ...] | None
-
-
-class Strategy(_Runs):
+class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
     """Finite or eventually periodic outcome schedule.
 
     ``Strategy(prefix, cycle)`` takes per-action tuples and
@@ -114,6 +109,10 @@ class Strategy(_Runs):
         elif not cycle_runs:
             raise ValueError("cycle must contain at least one action")
         return super().__new__(cls, prefix_runs, cycle_runs)
+
+    @classmethod
+    def _make(cls, iterable) -> "Strategy":
+        return cls.from_runs(*iterable)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

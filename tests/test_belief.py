@@ -83,6 +83,13 @@ class TestBeliefState:
         with pytest.raises(ValueError):
             BeliefState(1, 3, successes=-1)
 
+    @pytest.mark.parametrize(
+        "successes,failures", [(True, 0), (0, False), (1.5, 0), (0, 2.0), ("1", 0)]
+    )
+    def test_rejects_bool_and_non_int_counts(self, successes, failures):
+        with pytest.raises(ValueError, match="observation counts must be nonnegative"):
+            BeliefState(1, 3, successes, failures)
+
     def test_mean_monotone_in_counts(self):
         base = BeliefState(2, 5, successes=3, failures=4)
         assert base.update(Action.SUCCESS).posterior_mean > base.posterior_mean
@@ -171,15 +178,20 @@ class TestStartSlack:
 
 
 class TestMinFailures:
+    """Fewest failures before one more success keeps the mean within c:
+    ``c.padding(state.slack(c))``."""
+
     def test_needs_one_after_two_successes(self):
-        b = BeliefState(1, 3, successes=2)
-        assert b.min_failures_for_next_success(Threshold(1, 2)) == 1
+        c = Threshold(1, 2)
+        assert c.padding(BeliefState(1, 3, successes=2).slack(c)) == 1
 
     def test_zero_when_success_affordable(self):
-        assert BeliefState(1, 3).min_failures_for_next_success(Threshold(1, 2)) == 0
+        c = Threshold(1, 2)
+        assert c.padding(BeliefState(1, 3).slack(c)) == 0
 
     def test_two_needed_from_tight_prior(self):
-        assert BeliefState(2, 7).min_failures_for_next_success(Threshold(1, 4)) == 2
+        c = Threshold(1, 4)
+        assert c.padding(BeliefState(2, 7).slack(c)) == 2
 
     def test_minimality_on_grid(self):
         cases = [
@@ -193,7 +205,7 @@ class TestMinFailures:
         ]
         for a, b0, c, ns, nf in cases:
             b = BeliefState(a, b0, ns, nf)
-            d = b.min_failures_for_next_success(c)
+            d = c.padding(b.slack(c))
             after = BeliefState(a, b0, ns + 1, nf + d)
             assert after.within_threshold(c)
             if d >= 1:

@@ -1,7 +1,9 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
-one module deciding whether a prior starts within the cutoff, and each CLI
-command importing only the modules it runs."""
+one module deciding whether a prior starts within the cutoff, one base for
+the checked value types, and each CLI command importing only the modules it
+runs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -42,6 +44,28 @@ def test_only_belief_decides_the_prior():
     uses = [p.name for p in modules if "decompose(" in p.read_text().replace("def decompose(", "")]
     assert uses == []
     assert not hasattr(sandbag.oracle, "_start_slack")
+
+
+def test_checked_types_share_the_belief_base():
+    """Every class that checks its fields in ``__new__`` derives from
+    ``belief.checked``, and no NamedTuple shell is subclassed to add a check."""
+    classes = [
+        node
+        for p in sorted((ROOT / "src" / "sandbag").glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    bases = {node.name: [ast.unparse(b) for b in node.bases] for node in classes}
+    checking = {
+        node.name
+        for node in classes
+        if any(isinstance(f, ast.FunctionDef) and f.name == "__new__" for f in node.body)
+    }
+    assert checking == {"Threshold", "BeliefState", "ProblemInstance", "GuesserConfig", "Strategy"}
+    for name in checking:
+        assert len(bases[name]) == 1 and bases[name][0].startswith(f"checked('{name}', "), name
+    shells = {name for name, b in bases.items() if b == ["NamedTuple"]}
+    assert not [name for name, b in bases.items() if shells.intersection(b)]
 
 
 # one small argv per command; which of the watched modules each may load

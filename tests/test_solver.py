@@ -194,6 +194,11 @@ class TestVerifyOrdering:
         with pytest.raises(ValueError):
             verify_ordering(ProblemInstance(1, 3, 1, 0.5), 1)
 
+    @pytest.mark.parametrize("n_max", [True, 2.5, 3.0, "3", None])
+    def test_rejects_bool_and_non_int_n(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            verify_ordering(ProblemInstance(1, 3, 1, 0.5), n_max)
+
     @pytest.mark.parametrize(
         "alpha0,beta0,m,delta", [(1, 100001, 1, 0.7), (1, 300000, 3, 0.9), (1, 10**6, 8, 0.99)]
     )

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,3 +128,49 @@ def test_validated_types_keep_their_messages():
         Strategy.from_runs([(S, 1)], [(F, 0)])
     with pytest.raises(ValueError, match=r"p_true must lie in \[0, 1\]"):
         GuesserConfig(1.5, 1)
+
+
+# one value per checked type, with a field, a value that field cannot take,
+# and the message its constructor gives for it
+CHECKED = [
+    (Threshold(1, 2), "num", 5, "threshold must satisfy 0 < num/den < 1"),
+    (BeliefState(1, 3), "alpha0", 0, "prior pseudo-counts must be integers >= 1"),
+    (BeliefState(1, 3), "failures", True, "observation counts must be nonnegative"),
+    (ProblemInstance(1, 3, 1, 0.5), "delta", 7.0, "delta out of range"),
+    (GuesserConfig(0.3, 7), "seed", True, "seed must be an integer"),
+    (parse_strategy("ssfs(fs)*"), "cycle_runs", (), "cycle must contain at least one action"),
+    (parse_strategy("ssf"), "prefix_runs", (), "finite strategy must contain at least one action"),
+]
+CHECKED_IDS = [f"{type(value).__name__}-{field}" for value, field, _, _ in CHECKED]
+
+
+@pytest.mark.parametrize("value, field, bad, message", CHECKED, ids=CHECKED_IDS)
+def test_make_and_replace_run_the_check(value, field, bad, message):
+    items = [bad if name == field else item for name, item in zip(value._fields, value)]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        type(value)._make(items)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        value._replace(**{field: bad})
+    assert type(value)._make(value) == value and value._replace() == value
+
+
+def test_make_builds_through_the_constructor():
+    x = Threshold._make((2, 4))
+    assert x == Threshold(1, 2) and repr(x) == "Threshold(num=1, den=2)"
+    assert Strategy._make([[(S, 2), (F, 0), (F, 1)], None]) == parse_strategy("ssf")
+    assert Strategy._make([[], [(F, 1), ("s", 1)]]) == parse_strategy("(fs)*")
+
+
+@pytest.mark.parametrize("value", [v for v, _, _, _ in CHECKED], ids=CHECKED_IDS)
+def test_checked_value_never_equals_its_plain_tuple(value):
+    plain = tuple(value)
+    assert value != plain and plain != value
+    assert not value == plain and not plain == value
+    assert hash(value) == hash(plain) and len({value, plain}) == 2
+
+
+@pytest.mark.parametrize("value", [v for v, _, _, _ in CHECKED], ids=CHECKED_IDS)
+def test_checked_value_survives_pickle_and_copy(value):
+    for y in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(y) is type(value) and y == value and hash(y) == hash(value)
+        assert repr(y) == repr(value)
