@@ -107,7 +107,7 @@ class Threshold(checked("Threshold", "num den")):
 def check_delta(delta: float) -> None:
     """Require 0 <= delta < 1: at delta = 1 an infinite schedule has no
     finite value, and finite ones are kept under the same contract."""
-    if not 0.0 <= delta < 1.0:
+    if not (is_real(delta) and 0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
 
 
@@ -127,6 +127,13 @@ def start_slack(alpha0: int, beta0: int, num: int, den: int) -> int:
     if slack < 0:
         raise ValueError("prior mean exceeds threshold")
     return slack
+
+
+def is_real(x) -> bool:
+    """Whether ``x`` may stand for a real input: an int or float, not a bool
+    (so no str, None or Fraction reaches a float comparison). A plain float
+    is decided first, as it is the usual case on the pricing paths."""
+    return type(x) is float or (type(x) is not bool and isinstance(x, (int, float)))
 
 
 def check_m(m: int) -> None:

@@ -14,7 +14,9 @@ hard cap, checked before the work starts:
 - more than ROW_LIMIT (100,000) rows: enumerate --max-index + 1,
   thresholds --n-max, simulate --max-periods, sweep grid points;
 - a strategy word longer than WORD_LIMIT (10^7 actions) in solve or
-  enumerate;
+  enumerate; enumerate first refuses a reduced --c-den above
+  WORD_LIMIT, whose h^inf cycle alone is that long, before it builds
+  any member;
 - an oracle horizon above 25 (exhaustive) or 500 (dp), a tree search
   above 6,000,000 nodes, or value iteration above 5,000,000 estimated
   state updates.
@@ -30,7 +32,7 @@ import sys
 from typing import Any, Sequence
 
 from . import __version__
-from .belief import Action, LimitExceededError, Threshold
+from .belief import Action, LimitExceededError, Threshold, start_slack
 from .payoff import breakeven_discount, payoff
 from .solver import OptimalKind, ProblemInstance, classify
 from .strategy import Strategy, format_strategy, frontier_strategy, parse_strategy
@@ -173,6 +175,9 @@ def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
         raise ValueError("--max-index must be at least 1")
     _check_rows("--max-index", args.max_index + 1)
     c = Threshold(args.c_num, args.c_den)
+    start_slack(args.alpha, args.beta, c.num, c.den)  # a bad prior still exits 2
+    if c.den > WORD_LIMIT:  # h^inf's cycle alone is den actions
+        raise LimitExceededError(f"h^inf's cycle has {c.den} actions, limit is {WORD_LIMIT}")
     entries = []
     for i in [*range(1, args.max_index + 1), math.inf]:
         x = frontier_strategy(args.alpha, args.beta, c, i)

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .belief import Action, Threshold, check_delta, checked, start_slack
+from .belief import Action, Threshold, check_delta, checked, is_real, start_slack
 from .strategy import Strategy
 
 
@@ -42,7 +42,7 @@ class GuesserConfig(checked("GuesserConfig", "p_true seed")):
     __slots__ = ()
 
     def __new__(cls, p_true: float, seed: int):
-        if isinstance(p_true, bool) or not isinstance(p_true, (int, float)):
+        if not is_real(p_true):
             raise ValueError("p_true must be a number, not a bool")
         if not 0.0 <= p_true <= 1.0:
             raise ValueError("p_true must lie in [0, 1]")

@@ -312,19 +312,20 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     otherwise pads with the fewest failures that make the next success
     affordable. The finite member h^i spends the crossing success at the
     i-th such opportunity; h^inf declines them all and is returned as a
-    prefix through the first success after the first failure, plus the
-    shortest cycle. The walk emits one run per block, so its cost is the
-    number of blocks, not the word length.
+    prefix through the first success after the first failure, plus a
+    cycle of exactly den actions with num successes, so its long-run
+    success rate is the cutoff itself. The walk emits one run per block,
+    so its cost is the number of blocks, not the word length.
     """
     check_index(index)
     slack = start_slack(alpha0, beta0, c.num, c.den)
     short = c.den - c.num
     runs: list[Run] = []
     pos = 0  # word length so far
-    seen: dict[int, int] = {}  # h^inf: slack at each opportunity -> pos there
+    end = math.inf  # h^inf: where its first cycle ends, set at the first opportunity
     opportunities = 0
     # one block per pass: the free successes, then an opportunity (slack < short)
-    while True:
+    while pos < end:
         free, slack = divmod(slack, short)
         runs.append((Action.SUCCESS, free))
         pos += free
@@ -332,23 +333,16 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
         if opportunities == index:
             runs.append((Action.SUCCESS, 1))  # the crossing success
             return Strategy.from_runs(runs)
-        if index == math.inf:
-            if slack in seen:
-                break
-            seen[slack] = pos
         pad = c.padding(slack)
-        if opportunities == 1:
+        if opportunities == 1 and index == math.inf:
             # h^inf's head ends at the free success after this padding (at
-            # least one failure, as slack < short here)
+            # least one failure, as slack < short here). From here on the
+            # slack stays in [0, den) and each period adds num mod den; the
+            # cutoff is reduced, so num and den are coprime and the word
+            # repeats after exactly den periods, num of them successes.
             head = pos + pad + 1
+            end = head + c.den
         runs.append((Action.FAILURE, pad))
         pos += pad
         slack += pad * c.num
-
-    # From the first opportunity on, slack stays in [0, den), where the step
-    # is a bijection, so the word is periodic from there with the period just
-    # found; the cycle is that period read from the end of the head.
-    start = seen[slack]
-    turn = start + (head - start) % (pos - start)
-    cycle = _slice(runs, turn, pos) + _slice(runs, start, turn)
-    return Strategy.from_runs(_slice(runs, 0, head), cycle)
+    return Strategy.from_runs(_slice(runs, 0, head), _slice(runs, head, end))

@@ -167,7 +167,7 @@ class TestStartSlack:
         with pytest.raises(ValueError, match="threshold"):
             start_slack(1, 3, num, den)
 
-    @pytest.mark.parametrize("delta", [-0.1, 1.0, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("delta", [-0.1, 1.0, 1.5, math.nan, math.inf, True, "0.5", None])
     def test_check_delta_rejects(self, delta):
         with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
             check_delta(delta)

@@ -104,6 +104,15 @@ class TestEnumerate:
         )
         assert code == EXIT_USAGE and "exceeds threshold" in err
 
+    @pytest.mark.parametrize("alpha, beta, message", [("3", "1", "exceeds threshold"),
+                                                      ("0", "3", "pseudo-counts")])
+    def test_bad_prior_exits_2_before_the_cycle_cap(self, capsys, alpha, beta, message):
+        code, _, err = run(
+            capsys, "enumerate", "--alpha", alpha, "--beta", beta,
+            "--c-num", "1", "--c-den", str(WORD_LIMIT + 1), "--max-index", "1",
+        )
+        assert code == EXIT_USAGE and message in err
+
 
 class TestEvaluate:
     def test_value(self, capsys):
@@ -408,6 +417,15 @@ _CAPS = {
         ["sandbag.cli.format_strategy"],
         lambda v: ("enumerate", "--alpha", "1", "--beta", str(v), "--c-num", "1",
                    "--c-den", "2", "--max-index", "1"),
+        WORD_LIMIT,
+        WORD_LIMIT + 1,
+    ),
+    # h^inf's cycle alone has den actions, so a larger reduced den is refused
+    # before the walk; Beta(1, den) starts within 1/den
+    "enumerate-cycle": (
+        ["sandbag.cli.frontier_strategy"],
+        lambda v: ("enumerate", "--alpha", "1", "--beta", str(v), "--c-num", "1",
+                   "--c-den", str(v), "--max-index", "1"),
         WORD_LIMIT,
         WORD_LIMIT + 1,
     ),

@@ -157,7 +157,7 @@ class TestValueIteration:
         with pytest.raises(ValueError):
             value_iteration(1, 3, C_HALF, 0.5, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, True, "0.5", None])
     def test_rejects_nonfinite_tol(self, tol):
         # nan never met the stopping test; inf stopped after one sweep
         with pytest.raises(ValueError, match="finite"):

@@ -42,7 +42,7 @@ class TestPayoff:
         assert payoff(parse_strategy("ssfss"), 0.0) == 1.0
         assert payoff(parse_strategy("(fs)*"), 0.0) == 0.0
 
-    @pytest.mark.parametrize("delta", [1.0, 1.5, -0.1])
+    @pytest.mark.parametrize("delta", [1.0, 1.5, -0.1, True, False, "0.5", None])
     def test_rejects_out_of_range_delta(self, delta):
         with pytest.raises(ValueError):
             payoff(parse_strategy("s(fs)*"), delta)
@@ -97,7 +97,7 @@ class TestBreakevenDiscount:
         with pytest.raises(ValueError):
             breakeven_discount(3, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, True, "0.5", None])
     def test_rejects_nonfinite_tol(self, tol):
         with pytest.raises(ValueError, match="finite"):
             breakeven_discount(3, tol=tol)
@@ -109,7 +109,7 @@ class TestBreakevenDiscount:
         with pytest.raises(ValueError, match="positive integer"):
             breakeven_discount(n)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12, True, "0.5", None])
     def test_rejects_bad_tol_with_root_cached(self, tol):
         breakeven_discount(3)
         with pytest.raises(ValueError, match="tol"):

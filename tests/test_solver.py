@@ -28,7 +28,7 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match="prior mean exceeds threshold"):
             ProblemInstance(3, 1, 1, 0.5)
 
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 1.7, True, "0.5", None])
     def test_rejects_delta_out_of_range(self, delta):
         with pytest.raises(ValueError, match="delta out of range"):
             ProblemInstance(1, 3, 1, delta)
@@ -130,7 +130,7 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(ProblemInstance(1, 3, 1, 0.5), tie_tol=-1.0)
 
-    @pytest.mark.parametrize("tie_tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("tie_tol", [math.nan, math.inf, True, "0.5", None])
     def test_rejects_nonfinite_tie_tol(self, tie_tol):
         with pytest.raises(ValueError, match="finite"):
             classify(ProblemInstance(1, 3, 1, 0.5), tie_tol=tie_tol)
@@ -198,6 +198,12 @@ class TestVerifyOrdering:
     def test_rejects_bool_and_non_int_n(self, n_max):
         with pytest.raises(ValueError, match="n_max must be an integer"):
             verify_ordering(ProblemInstance(1, 3, 1, 0.5), n_max)
+
+    @pytest.mark.parametrize("atol", [math.nan, math.inf, -1.0, True, "0.5", None])
+    def test_rejects_bad_atol(self, atol):
+        # nan used to report agrees=False, and a negative atol an empty argmax
+        with pytest.raises(ValueError, match="atol must be nonnegative and finite"):
+            verify_ordering(ProblemInstance(1, 3, 1, 0.5), 3, atol)
 
     @pytest.mark.parametrize(
         "alpha0,beta0,m,delta", [(1, 100001, 1, 0.7), (1, 300000, 3, 0.9), (1, 10**6, 8, 0.99)]

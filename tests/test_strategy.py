@@ -1,5 +1,6 @@
 """Strategy text forms, feasibility, greediness, and the frontier family."""
 
+import hashlib
 import math
 import random
 
@@ -341,6 +342,7 @@ class TestGeneralCutoffFamily:
             assert head.index(S, head.index(F)) == len(head) - 1
             cycle = "".join(a.value for a in h_inf.cycle)
             assert cycle not in (cycle + cycle)[1:-1]  # not a power of a shorter word
+            assert (len(cycle), cycle.count("s")) == (c.den, c.num)
             # h^i is h^inf cut at its i-th opportunity (a success would cross,
             # and the walk has not already started padding), plus the crossing s
             short = c.den - c.num
@@ -358,3 +360,14 @@ class TestGeneralCutoffFamily:
                 played.append(action)
                 slack += c.num if action is F else -short
         assert cases == 18332
+
+    def test_infinite_words_are_pinned(self):
+        # SHA-256 of every h^inf word on the grid, one per line, as the
+        # repeat search that once found the cycle printed them
+        digest = hashlib.sha256()
+        for alpha0, beta0, c in general_cutoff_grid():
+            word = format_strategy(frontier_strategy(alpha0, beta0, c, math.inf))
+            digest.update(word.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "8d2d72b458165860f883fef77ae16de738323b09fce0d6f21376d6e33a48f2a4"
+        )

@@ -23,7 +23,14 @@ from sandbag import (
     TrajectoryRecord,
     classify,
     decompose,
+    dp_value,
+    exhaustive_best,
+    frontier_payoff,
     parse_strategy,
+    payoff,
+    play_guesser,
+    play_strategy,
+    value_iteration,
 )
 
 S, F = Action.SUCCESS, Action.FAILURE
@@ -128,6 +135,34 @@ def test_validated_types_keep_their_messages():
         Strategy.from_runs([(S, 1)], [(F, 0)])
     with pytest.raises(ValueError, match=r"p_true must lie in \[0, 1\]"):
         GuesserConfig(1.5, 1)
+
+
+# every entry point that takes delta, with valid other arguments; the sim
+# ones take None to mean "no payoff", so None is a bad delta only elsewhere
+_HALF = Threshold(1, 2)
+DELTA_TAKERS = {
+    "ProblemInstance": lambda d: ProblemInstance(1, 3, 1, d),
+    "payoff": lambda d: payoff(parse_strategy("ss"), d),
+    "frontier_payoff": lambda d: frontier_payoff(1, 3, 1, 1, d),
+    "exhaustive_best": lambda d: exhaustive_best(1, 3, _HALF, d, 3),
+    "dp_value": lambda d: dp_value(1, 3, _HALF, d, 3),
+    "value_iteration": lambda d: value_iteration(1, 3, _HALF, d),
+    "play_strategy": lambda d: play_strategy(1, 3, _HALF, parse_strategy("ss"), d),
+    "play_guesser": lambda d: play_guesser(1, 3, _HALF, GuesserConfig(0.5, 1), d),
+}
+BAD_DELTAS = [
+    (name, bad)
+    for name in DELTA_TAKERS
+    for bad in (True, False, "0.5", Fraction(1, 2), *([] if name.startswith("play_") else [None]))
+]
+
+
+@pytest.mark.parametrize("name, bad", BAD_DELTAS, ids=[f"{n}-{b!r}" for n, b in BAD_DELTAS])
+def test_non_number_delta_is_a_value_error(name, bad):
+    # a str or None used to raise TypeError from a float comparison, and
+    # payoff took False as 0.0
+    with pytest.raises(ValueError, match="delta"):
+        DELTA_TAKERS[name](bad)
 
 
 # one value per checked type, with a field, a value that field cannot take,
