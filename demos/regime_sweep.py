@@ -13,8 +13,8 @@ from sandbag import (
     ProblemInstance,
     breakeven_discount,
     classify,
-    decompose,
 )
+from sandbag.belief import split_slack
 
 
 def label(members):
@@ -24,11 +24,11 @@ def label(members):
 
 
 for alpha, beta, m in [(1, 3, 1), (1, 5, 1), (1, 5, 2), (2, 7, 1)]:
-    dec = decompose(beta, m)
-    z_lo = breakeven_discount(dec.m - dec.k).z if dec.k else breakeven_discount(dec.m).z
-    z_hi = breakeven_discount(dec.m).z
+    q, k = split_slack(alpha, beta, m)  # beta = m*r + k with r = q + alpha
+    z_lo = breakeven_discount(m - k).z if k else breakeven_discount(m).z
+    z_hi = breakeven_discount(m).z
     print(f"prior Beta({alpha}, {beta}), cutoff 1/{m + 1}"
-          f"  (m = {dec.m}, r = {dec.r}, k = {dec.k})")
+          f"  (m = {m}, r = {q + alpha}, k = {k})")
     print(f"  z_low = {z_lo:.6f}, z_high = {z_hi:.6f}")
 
     current = None

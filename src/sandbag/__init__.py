@@ -27,11 +27,9 @@ from .solver import (
     verify_ordering,
 )
 from .strategy import (
-    Decomposition,
     FamilyIndex,
     Strategy,
     StrategyParseError,
-    decompose,
     format_strategy,
     frontier_strategy,
     greedy_violations,
@@ -61,8 +59,6 @@ __all__ = [
     "Strategy",
     "StrategyParseError",
     "FamilyIndex",
-    "Decomposition",
-    "decompose",
     "parse_strategy",
     "format_strategy",
     "is_feasible",

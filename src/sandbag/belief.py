@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import math
+import sys
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -134,6 +135,13 @@ def is_real(x) -> bool:
     (so no str, None or Fraction reaches a float comparison). A plain float
     is decided first, as it is the usual case on the pricing paths."""
     return type(x) is float or (type(x) is not bool and isinstance(x, (int, float)))
+
+
+def check_tol(tol: float, name: str, positive: bool = False) -> None:
+    """Require a real tolerance a float can hold, > 0 if ``positive`` else
+    >= 0; an int beyond float range is refused here, not left to overflow."""
+    if not (is_real(tol) and (tol > 0 if positive else tol >= 0) and tol <= sys.float_info.max):
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'} and finite")
 
 
 def check_m(m: int) -> None:

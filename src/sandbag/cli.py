@@ -11,12 +11,12 @@ an existing output file is refused without --force.
 
 Exit codes: 0 success, 2 usage or validation error, 3 input over a
 hard cap, checked before the work starts:
-- more than ROW_LIMIT (100,000) rows: enumerate --max-index + 1,
-  thresholds --n-max, simulate --max-periods, sweep grid points;
-- a strategy word longer than WORD_LIMIT (10^7 actions) in solve or
-  enumerate; enumerate first refuses a reduced --c-den above
-  WORD_LIMIT, whose h^inf cycle alone is that long, before it builds
-  any member;
+- more than ROW_LIMIT (100,000) rows: thresholds --n-max, simulate
+  --max-periods, sweep grid points;
+- a strategy word longer than WORD_LIMIT (10^7 actions) in solve;
+- more than WORD_LIMIT actions in all of enumerate's words, h^1..h^N and
+  h^inf, summed from the walk before any word is built; as h^i has at
+  least i actions and h^inf's cycle den, this bounds rows and --c-den too;
 - an oracle horizon above 25 (exhaustive) or 500 (dp), a tree search
   above 6,000,000 nodes, or value iteration above 5,000,000 estimated
   state updates.
@@ -26,26 +26,24 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import sys
 from typing import Any, Sequence
 
 from . import __version__
-from .belief import Action, LimitExceededError, Threshold, start_slack
+from .belief import LimitExceededError, Threshold
 from .payoff import breakeven_discount, payoff
 from .solver import OptimalKind, ProblemInstance, classify
 from .strategy import Strategy, format_strategy, frontier_strategy, parse_strategy
+from .strategy import _infinite_member, _opportunities
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 ROW_LIMIT = 100_000  # most rows one command may produce
 WORD_LIMIT = 10**7  # most actions in one strategy word a command may print
-
-
-def _successes(runs) -> int:
-    return sum(n for a, n in runs if a is Action.SUCCESS)
 
 
 def _check_rows(what: str, rows: float) -> None:
@@ -173,24 +171,33 @@ def _cmd_solve(args) -> tuple[dict[str, Any], Table]:
 def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
     if args.max_index < 1:
         raise ValueError("--max-index must be at least 1")
-    _check_rows("--max-index", args.max_index + 1)
     c = Threshold(args.c_num, args.c_den)
-    start_slack(args.alpha, args.beta, c.num, c.den)  # a bad prior still exits 2
-    if c.den > WORD_LIMIT:  # h^inf's cycle alone is den actions
-        raise LimitExceededError(f"h^inf's cycle has {c.den} actions, limit is {WORD_LIMIT}")
-    entries = []
-    for i in [*range(1, args.max_index + 1), math.inf]:
-        x = frontier_strategy(args.alpha, args.beta, c, i)
-        entry: dict[str, Any] = {
-            "index": index_label(i),
-            "strategy": _format_capped(x),
-            "length": x.length,
-            "prefix_successes": _successes(x.prefix_runs),
-        }
-        if x.cycle_runs is not None:
-            entry["cycle_length"] = sum(n for _, n in x.cycle_runs)
-            entry["cycle_successes"] = _successes(x.cycle_runs)
-        entries.append(entry)
+    walk = _opportunities(args.alpha, args.beta, c)
+    blocks = []
+    total = 0  # actions in the words of h^1..h^i and h^inf
+    for pos, free, pad in walk:  # reading the first block checks the prior
+        if not blocks:
+            total = free + pad + 1 + c.den  # h^inf: its head and a cycle of den actions
+        blocks.append((pos, free, pad))
+        total += pos + free + 1  # h^i
+        if total > WORD_LIMIT:
+            raise LimitExceededError(f"h1..h{len(blocks)} and hinf have {total} actions, "
+                                     f"limit is {WORD_LIMIT}")
+        if len(blocks) == args.max_index:
+            break
+    h_inf = _infinite_member(itertools.chain(blocks, walk), c)
+    entries: Table = []
+    word = ""  # the walk so far; h^i is word + "s"
+    successes = 0
+    for i, (pos, free, pad) in enumerate(blocks, 1):
+        word += "s" * free
+        successes += free
+        entries.append({"index": f"h{i}", "strategy": word + "s", "length": pos + free + 1,
+                        "prefix_successes": successes + 1})
+        word += "f" * pad
+    entries.append({"index": "hinf", "strategy": format_strategy(h_inf), "length": None,
+                    "prefix_successes": blocks[0][1] + 1, "cycle_length": c.den,
+                    "cycle_successes": c.num})
     return {"strategies": entries}, entries
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .belief import Action, LimitExceededError, Threshold, check_delta, is_real, start_slack
+from .belief import Action, LimitExceededError, Threshold, check_delta, check_tol, start_slack
 
 EXHAUSTIVE_LIMIT = 25
 EXHAUSTIVE_WORK_LIMIT = 6_000_000  # most tree nodes one exhaustive_best may visit
@@ -146,8 +146,7 @@ def value_iteration(
     sweep count is above VI_WORK_LIMIT.
     """
     check_delta(delta)
-    if not (is_real(tol) and math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
+    check_tol(tol, "tol", positive=True)
     slack0 = start_slack(alpha0, beta0, c.num, c.den)
     short = c.den - c.num
     cap = max(slack0, short + c.num - 1) + c.num

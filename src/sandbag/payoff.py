@@ -24,7 +24,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .belief import Action, check_delta, is_real, split_slack
+from .belief import Action, check_delta, check_tol, split_slack
 from .strategy import FamilyIndex, Run, Strategy, check_index
 
 _ULP_FLOOR = 1e-15  # bisection stops shrinking brackets below float spacing
@@ -76,8 +76,7 @@ def breakeven_discount(n: int, tol: float = 1e-12) -> BreakevenRoot:
     # True == 1 and 2.0 == 2 hash alike, so only a genuine int may reach the cache
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    if not (is_real(tol) and math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
+    check_tol(tol, "tol", positive=True)
     return _bisect(n, tol)
 
 

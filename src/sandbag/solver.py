@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .belief import Threshold, checked, is_real, split_slack, start_slack
+from .belief import Threshold, check_tol, checked, is_real, split_slack, start_slack
 from .payoff import breakeven_discount, frontier_payoff, payoff
 from .strategy import FamilyIndex, frontier_strategy
 
@@ -91,8 +91,7 @@ def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
     ``tie_tol`` is the half-width of the band around each root treated
     as an exact tie; the roots themselves are computed to 1e-12.
     """
-    if not (is_real(tie_tol) and math.isfinite(tie_tol) and tie_tol >= 0.0):
-        raise ValueError("tie_tol must be nonnegative and finite")
+    check_tol(tie_tol, "tie_tol")
     _, k = split_slack(inst.alpha0, inst.beta0, inst.m)
     z_high = breakeven_discount(inst.m).z
     z_low = breakeven_discount(inst.m - k).z if k >= 1 else z_high
@@ -138,10 +137,9 @@ def verify_ordering(inst: ProblemInstance, n_max: int, atol: float = 1e-10) -> O
     """
     if type(n_max) is not int or n_max < 2:
         raise ValueError("n_max must be an integer >= 2")  # bools too
-    if not (is_real(atol) and math.isfinite(atol) and atol >= 0.0):
-        raise ValueError("atol must be nonnegative and finite")
+    check_tol(atol, "atol")
+    q, _ = split_slack(inst.alpha0, inst.beta0, inst.m)
     c = inst.threshold
-    q = start_slack(inst.alpha0, inst.beta0, c.num, c.den) // (c.den - c.num)
     indices: list[FamilyIndex] = [*range(1, n_max + 1), math.inf]
     values, tails = (
         {i: payoff(frontier_strategy(a, inst.beta0, c, i), inst.delta) for i in indices}

@@ -16,7 +16,9 @@ The frontier family h^1, h^2, ..., h^inf enumerates the schedules that
 hug the suspicion boundary: succeed whenever the posterior stays within
 the cutoff afterwards, pad with the fewest failures otherwise, and cash
 in the crossing success at the index-th opportunity (never, for the
-infinite member).
+infinite member). The generator ``_opportunities`` is the family's only
+walk: ``frontier_strategy`` reads it for each member, and the
+``enumerate`` command reads it once for the whole table.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import functools
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, Union
 
-from .belief import Action, BeliefState, Threshold, check_m, checked, split_slack, start_slack
+from .belief import Action, BeliefState, Threshold, checked, split_slack, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
@@ -271,27 +273,6 @@ def greedy_violations(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> lis
     return out
 
 
-class Decomposition(NamedTuple):
-    """Division of the prior failure weight by the cutoff period.
-
-    For c = 1/(m+1), writes beta0 = m*r + k with 0 <= k < m, r >= 1.
-    """
-
-    m: int
-    r: int
-    k: int
-
-
-def decompose(beta0: int, m: int) -> Decomposition:
-    check_m(m)
-    if type(beta0) is not int or beta0 < 1:
-        raise ValueError("beta0 must be an integer >= 1")
-    r, k = divmod(beta0, m)
-    if r < 1:
-        raise ValueError("beta0 must be at least m")
-    return Decomposition(m, r, k)
-
-
 def second_frontier_closed_form(alpha0: int, beta0: int, m: int) -> Strategy:
     """Closed-form h^2 for cutoff 1/(m+1) and prior slack m*q + k: q
     successes, (m-k) failures, then two successes, the last crossing."""
@@ -305,6 +286,39 @@ def check_index(index: FamilyIndex) -> None:
         raise ValueError("index must be a positive integer or math.inf")
 
 
+def _opportunities(alpha0: int, beta0: int, c: Threshold) -> Iterator[tuple[int, int, int]]:
+    """The frontier family's only walk, one block per opportunity (a point
+    where one more success would cross), forever. Yields (pos, free, pad):
+    the word length before the block, its free successes, and the fewest
+    failures after the opportunity that make the next success affordable.
+    The prior is checked when the first block is read."""
+    slack = start_slack(alpha0, beta0, c.num, c.den)
+    short = c.den - c.num
+    pos = 0
+    while True:
+        free, slack = divmod(slack, short)
+        pad = c.padding(slack)
+        yield pos, free, pad
+        pos += free + pad
+        slack += pad * c.num
+
+
+def _infinite_member(blocks: Iterable[tuple[int, int, int]], c: Threshold) -> Strategy:
+    """h^inf from the walk's blocks, read from the first: a prefix through
+    the free success after the first padding (at least one failure, as
+    slack < short at an opportunity), then a cycle of exactly den actions.
+    From there on the slack stays in [0, den) and each period adds num mod
+    den; the cutoff is reduced, so num and den are coprime and the word
+    repeats after exactly den periods, num of them successes."""
+    runs: list[Run] = []
+    for pos, free, pad in blocks:
+        if not runs:
+            head = free + pad + 1
+        runs += [(Action.SUCCESS, free), (Action.FAILURE, pad)]
+        if pos + free + pad >= head + c.den:
+            return Strategy.from_runs(_slice(runs, 0, head), _slice(runs, head, head + c.den))
+
+
 def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex) -> Strategy:
     """Member h^index of the frontier family.
 
@@ -312,37 +326,16 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     otherwise pads with the fewest failures that make the next success
     affordable. The finite member h^i spends the crossing success at the
     i-th such opportunity; h^inf declines them all and is returned as a
-    prefix through the first success after the first failure, plus a
-    cycle of exactly den actions with num successes, so its long-run
-    success rate is the cutoff itself. The walk emits one run per block,
-    so its cost is the number of blocks, not the word length.
+    prefix plus a cycle of exactly den actions with num successes, so its
+    long-run success rate is the cutoff itself. Both take one run per block
+    of ``_opportunities``, so the cost is the number of blocks.
     """
     check_index(index)
-    slack = start_slack(alpha0, beta0, c.num, c.den)
-    short = c.den - c.num
+    blocks = _opportunities(alpha0, beta0, c)
+    if index == math.inf:
+        return _infinite_member(blocks, c)
     runs: list[Run] = []
-    pos = 0  # word length so far
-    end = math.inf  # h^inf: where its first cycle ends, set at the first opportunity
-    opportunities = 0
-    # one block per pass: the free successes, then an opportunity (slack < short)
-    while pos < end:
-        free, slack = divmod(slack, short)
-        runs.append((Action.SUCCESS, free))
-        pos += free
-        opportunities += 1
-        if opportunities == index:
-            runs.append((Action.SUCCESS, 1))  # the crossing success
-            return Strategy.from_runs(runs)
-        pad = c.padding(slack)
-        if opportunities == 1 and index == math.inf:
-            # h^inf's head ends at the free success after this padding (at
-            # least one failure, as slack < short here). From here on the
-            # slack stays in [0, den) and each period adds num mod den; the
-            # cutoff is reduced, so num and den are coprime and the word
-            # repeats after exactly den periods, num of them successes.
-            head = pos + pad + 1
-            end = head + c.den
-        runs.append((Action.FAILURE, pad))
-        pos += pad
-        slack += pad * c.num
-    return Strategy.from_runs(_slice(runs, 0, head), _slice(runs, head, end))
+    for _, free, pad in itertools.islice(blocks, index - 1):
+        runs += [(Action.SUCCESS, free), (Action.FAILURE, pad)]
+    _, free, _ = next(blocks)
+    return Strategy.from_runs([*runs, (Action.SUCCESS, free + 1)])

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from sandbag import Action, BeliefState, Threshold, decompose
+from sandbag import (
+    Action,
+    BeliefState,
+    ProblemInstance,
+    Threshold,
+    breakeven_discount,
+    classify,
+    value_iteration,
+    verify_ordering,
+)
 from sandbag.belief import check_delta, start_slack
 
 
@@ -135,6 +144,39 @@ class TestWithinThreshold:
         assert b.update(Action.FAILURE).slack(c) == 3  # failure pays num
 
 
+_INST = ProblemInstance(1, 3, 1, 0.5)
+
+# each entry point with a tolerance: (call with that tolerance, message)
+_TOLERANCES = {
+    "breakeven_discount": (lambda t: breakeven_discount(2, tol=t),
+                           "tol must be positive and finite"),
+    "classify": (lambda t: classify(_INST, tie_tol=t), "tie_tol must be nonnegative and finite"),
+    "verify_ordering": (lambda t: verify_ordering(_INST, 3, atol=t),
+                        "atol must be nonnegative and finite"),
+    "value_iteration": (lambda t: value_iteration(1, 3, Threshold(1, 2), 0.5, tol=t),
+                        "tol must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("entry", _TOLERANCES)
+@pytest.mark.parametrize(
+    "tol",
+    [10**400, -(10**400), math.nan, math.inf, -1, True, "1", None],
+    ids=["1e400", "-1e400", "nan", "inf", "-1", "True", "str", "None"],
+)
+def test_tolerances_share_one_check(entry, tol):
+    # exact comparisons: an int beyond float range gets ValueError, not OverflowError
+    call, message = _TOLERANCES[entry]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(tol)
+
+
+@pytest.mark.parametrize("entry", _TOLERANCES)
+def test_tolerance_that_a_float_holds_is_taken(entry):
+    call, _ = _TOLERANCES[entry]
+    assert call(10**300) is not None and call(0.5) is not None
+
+
 class TestStartSlack:
     def test_generated_grid(self):
         # every cutoff num/den in lowest terms with den <= 12; m = den - 1
@@ -151,8 +193,8 @@ class TestStartSlack:
                         slack = start_slack(alpha0, beta0, num, den)
                         assert slack == BeliefState(alpha0, beta0).slack(c)
                         if num == 1:
-                            dec = decompose(beta0, den - 1)
-                            assert divmod(slack, den - 1) == (dec.r - alpha0, dec.k)
+                            r, k = divmod(beta0, den - 1)  # beta0 = m*r + k
+                            assert divmod(slack, den - 1) == (r - alpha0, k)
 
     @pytest.mark.parametrize(
         "alpha0,beta0", [(0, 3), (-2, 3), (1, 0), (True, 3), (1, False), (1.0, 3), (1, 3.0)]

@@ -1,6 +1,9 @@
 """CLI behavior: envelopes, schemas, CSV shapes, exit codes."""
 
+import argparse
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandbag import cli
+from sandbag import Action, Threshold, cli, format_strategy, frontier_strategy
 from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
 from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT
 
@@ -112,6 +115,45 @@ class TestEnumerate:
             "--c-num", "1", "--c-den", str(WORD_LIMIT + 1), "--max-index", "1",
         )
         assert code == EXIT_USAGE and message in err
+
+    def test_rows_equal_the_members_built_alone(self):
+        # the table comes from one walk; each row must equal the member that
+        # frontier_strategy builds on its own, and h^i must have at least i
+        # actions, since the total cap bounds the rows through that
+        for alpha, beta, num, den in _priors_and_cutoffs(12, 3, 20):
+            args = argparse.Namespace(alpha=alpha, beta=beta, c_num=num, c_den=den, max_index=9)
+            _, rows = cli._cmd_enumerate(args)
+            c = Threshold(num, den)
+            for i, row in zip([*range(1, 10), math.inf], rows, strict=True):
+                x = frontier_strategy(alpha, beta, c, i)
+                assert row["strategy"] == format_strategy(x), (alpha, beta, c, i)
+                assert row["length"] == x.length
+                assert row["prefix_successes"] == x.prefix.count(Action.SUCCESS)
+                if x.cycle is None:
+                    assert len(row["strategy"]) >= i
+                    assert "cycle_length" not in row and "cycle_successes" not in row
+                else:
+                    assert row["cycle_length"] == len(x.cycle)
+                    assert row["cycle_successes"] == x.cycle.count(Action.SUCCESS)
+
+    # SHA-256 of the concatenated stdout of enumerate --max-index 8 on every
+    # prior and reduced cutoff of _priors_and_cutoffs(7, 2, 10), as printed
+    # when each member was built and formatted on its own
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "149c332c7b81c6cfa94512cb4f94cb4e19222fcbafac827a22ce070fb86612d7"),
+            ("csv", "bf95f80f3a5e66119063ec970cb1fae79fe9c96ebeea0d22a42748fba6e42710"),
+        ],
+    )
+    def test_tables_unchanged(self, fmt, digest):
+        sha = hashlib.sha256()
+        for alpha, beta, num, den in _priors_and_cutoffs(7, 2, 10):
+            argv = [*_enumerate_argv(beta, num, den, 8, alpha), "--format", fmt]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0
+            sha.update(out.getvalue().encode())
+        assert sha.hexdigest() == digest
 
 
 class TestEvaluate:
@@ -377,14 +419,42 @@ VI_BETA_AT_LIMIT = VI_WORK_LIMIT // 200 - 1
 # tree to horizon h is full, with 2**(h+1) - 1 nodes
 EXHAUSTIVE_HORIZON_AT_LIMIT = (EXHAUSTIVE_WORK_LIMIT + 1).bit_length() - 2
 
+
+def _priors_and_cutoffs(max_den: int, max_alpha: int, max_beta: int):
+    """(alpha, beta, num, den) for every cutoff num/den in lowest terms with
+    den <= max_den and every prior within it up to the given counts."""
+    for den in range(2, max_den + 1):
+        for num in (n for n in range(1, den) if math.gcd(n, den) == 1):
+            for alpha in range(1, max_alpha + 1):
+                for beta in range(1, max_beta + 1):
+                    if num * beta >= (den - num) * alpha:
+                        yield alpha, beta, num, den
+
+
+def _enumerate_argv(beta, c_num, c_den, max_index, alpha=1) -> tuple[str, ...]:
+    return ("enumerate", "--alpha", str(alpha), "--beta", str(beta), "--c-num", str(c_num),
+            "--c-den", str(c_den), "--max-index", str(max_index))
+
+
+def _enumerate_total(beta, c_num, c_den, max_index) -> int:
+    """Actions in enumerate's words, read from the library's members."""
+    c = Threshold(c_num, c_den)
+    h_inf = frontier_strategy(1, beta, c, math.inf)
+    members = [frontier_strategy(1, beta, c, i) for i in range(1, max_index + 1)]
+    return sum(x.length for x in members) + sum(n for _, n in h_inf.prefix_runs + h_inf.cycle_runs)
+
+
 # (patched workers, argv for one flag value, value at the cap, value just over it)
 _CAPS = {
+    # enumerate's one cap: the actions in all its words, h^1..h^N and h^inf.
+    # Each value is (beta, c_num, c_den, max_index) from Beta(1, beta), and
+    # test_enumerate_cap_inputs_total_their_bounds checks their totals.
+    # Many rows: Beta(1, b) at cutoff 1/2 prints (N + 1)*b + N*(N - 1) + 3
     "enumerate-rows": (
-        ["sandbag.cli.frontier_strategy"],
-        lambda v: ("enumerate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
-                   "--max-index", str(v)),
-        ROW_LIMIT - 1,
-        ROW_LIMIT,
+        ["sandbag.cli._infinite_member"],
+        lambda v: _enumerate_argv(*v),
+        (4381, 1, 2, 1656),
+        (2074, 1, 2, 2291),
     ),
     "thresholds-rows": (
         ["sandbag.cli.breakeven_discount"],
@@ -413,21 +483,21 @@ _CAPS = {
         WORD_LIMIT,
         WORD_LIMIT + 1,
     ),
+    # two long words: h^1 and h^inf from Beta(1, b) at cutoff 1/3 print b + 3
+    # actions for odd b and b + 5 for even b
     "enumerate-word": (
-        ["sandbag.cli.format_strategy"],
-        lambda v: ("enumerate", "--alpha", "1", "--beta", str(v), "--c-num", "1",
-                   "--c-den", "2", "--max-index", "1"),
-        WORD_LIMIT,
-        WORD_LIMIT + 1,
+        ["sandbag.cli._infinite_member"],
+        lambda v: _enumerate_argv(*v),
+        (WORD_LIMIT - 3, 1, 3, 1),
+        (WORD_LIMIT - 4, 1, 3, 1),
     ),
-    # h^inf's cycle alone has den actions, so a larger reduced den is refused
-    # before the walk; Beta(1, den) starts within 1/den
+    # a long cycle: h^inf's is den actions; from Beta(1, den) at cutoff 1/den
+    # h^1 and h^inf print 2*den actions, and from Beta(1, den + 1) 2*den - 1
     "enumerate-cycle": (
-        ["sandbag.cli.frontier_strategy"],
-        lambda v: ("enumerate", "--alpha", "1", "--beta", str(v), "--c-num", "1",
-                   "--c-den", str(v), "--max-index", "1"),
-        WORD_LIMIT,
-        WORD_LIMIT + 1,
+        ["sandbag.cli._infinite_member"],
+        lambda v: _enumerate_argv(*v),
+        (WORD_LIMIT // 2, 1, WORD_LIMIT // 2, 1),
+        (WORD_LIMIT // 2 + 2, 1, WORD_LIMIT // 2 + 1, 1),
     ),
     # the Bellman sweep is the first call of the builtin enumerate in oracle.py
     "oracle-vi-work": (
@@ -453,6 +523,22 @@ def _patch_workers(monkeypatch, workers) -> None:
 
     for target in workers:
         monkeypatch.setattr(target, fail, raising=False)
+
+
+def test_enumerate_cap_inputs_total_their_bounds():
+    # rows: too many members to build here, so check the closed form on
+    # small priors and indices against the library, then apply it
+    def rows_total(beta, max_index):
+        return (max_index + 1) * beta + max_index * (max_index - 1) + 3
+
+    for beta in range(1, 7):
+        for n in range(1, 9):
+            assert rows_total(beta, n) == _enumerate_total(beta, 1, 2, n)
+    _, _, at, over = _CAPS["enumerate-rows"]
+    assert (rows_total(at[0], at[3]), rows_total(over[0], over[3])) == (WORD_LIMIT, WORD_LIMIT + 1)
+    for case in ("enumerate-word", "enumerate-cycle"):
+        _, _, at, over = _CAPS[case]
+        assert (_enumerate_total(*at), _enumerate_total(*over)) == (WORD_LIMIT, WORD_LIMIT + 1)
 
 
 @pytest.mark.parametrize("case", _CAPS)

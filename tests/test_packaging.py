@@ -1,15 +1,20 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
-one module deciding whether a prior starts within the cutoff, one base for
-the checked value types, and each CLI command importing only the modules it
-runs."""
+one module deciding whether a prior starts within the cutoff, one walk for
+the frontier family, one base for the checked value types, and each CLI
+command importing only the modules it runs."""
 
 import ast
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import sandbag
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,9 +46,48 @@ def test_only_belief_decides_the_prior():
     modules = sorted((ROOT / "src" / "sandbag").glob("*.py"))
     deciders = [p.name for p in modules if "exceeds threshold" in p.read_text()]
     assert deciders == ["belief.py"]
-    uses = [p.name for p in modules if "decompose(" in p.read_text().replace("def decompose(", "")]
-    assert uses == []
     assert not hasattr(sandbag.oracle, "_start_slack")
+
+
+def test_only_the_generator_walks_the_family():
+    """The padding rule and the block division (slack by den - num) are
+    called in one function, the frontier family's walk; the only other
+    divmod is split_slack's division of the start slack by m."""
+    padding, divisions = set(), set()
+    for p in sorted((ROOT / "src" / "sandbag").glob("*.py")):
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    call = ast.unparse(node.func)
+                    if call.endswith(".padding"):
+                        padding.add(fn.name)
+                    elif call == "divmod":
+                        divisions.add((fn.name, ast.unparse(node.args[1])))
+    assert padding == {"_opportunities"}
+    assert divisions == {("_opportunities", "short"), ("split_slack", "m")}
+
+
+def test_enumerate_starts_the_walk_once(monkeypatch):
+    from sandbag import cli, strategy
+
+    starts = []
+    walk = strategy._opportunities
+
+    def counted(*args):
+        starts.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(strategy, "_opportunities", counted)
+    monkeypatch.setattr(cli, "_opportunities", counted)
+    argv = ["enumerate", *_PRIOR, "--max-index", "40"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert starts == [(1, 3, sandbag.Threshold(1, 2))]
+    strategy.frontier_strategy(1, 3, sandbag.Threshold(1, 2), 40)
+    strategy.frontier_strategy(1, 3, sandbag.Threshold(1, 2), math.inf)
+    assert len(starts) == 3  # and one per member built alone
 
 
 def test_checked_types_share_the_belief_base():

@@ -12,7 +12,6 @@ from sandbag import (
     Strategy,
     StrategyParseError,
     Threshold,
-    decompose,
     format_strategy,
     frontier_strategy,
     greedy_violations,
@@ -153,34 +152,6 @@ class TestGreedyViolations:
         assert greedy_violations(strat("s(fs)*"), 1, 3, C_HALF) == [2]
 
 
-class TestDecompose:
-    @pytest.mark.parametrize(
-        "beta0,m,r,k", [(3, 1, 3, 0), (5, 2, 2, 1), (7, 3, 2, 1), (6, 3, 2, 0)]
-    )
-    def test_euclidean_division(self, beta0, m, r, k):
-        d = decompose(beta0, m)
-        assert (d.m, d.r, d.k) == (m, r, k)
-        assert beta0 == m * d.r + d.k and 0 <= d.k < max(m, 1)
-
-    def test_rejects_beta_below_m(self):
-        with pytest.raises(ValueError):
-            decompose(2, 3)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            decompose(3, 0)
-
-    @pytest.mark.parametrize("m", [True, 2.0, 1.5])
-    def test_rejects_bool_and_float_m(self, m):
-        with pytest.raises(ValueError, match=r"m must be an integer >= 1"):
-            decompose(5, m)
-
-    @pytest.mark.parametrize("beta0", [True, 5.0, 0])
-    def test_rejects_bool_and_non_int_beta0(self, beta0):
-        with pytest.raises(ValueError, match=r"beta0 must be an integer >= 1"):
-            decompose(beta0, 1)
-
-
 class TestFrontierFamily:
     @pytest.mark.parametrize(
         "alpha0,beta0,m,text",
@@ -278,29 +249,29 @@ class TestFrontierFamily:
         # h^i carries (r - alpha0) free successes plus i boundary ones
         for alpha0, beta0, m in [(1, 3, 1), (1, 5, 2), (2, 7, 3), (1, 4, 2)]:
             c = Threshold.from_m(m)
-            dec = decompose(beta0, m)
+            r, _ = divmod(beta0, m)  # beta0 = m*r + k
             for i in range(1, 9):
                 h = frontier_strategy(alpha0, beta0, c, i)
                 n_s = sum(1 for a in h.prefix if a is Action.SUCCESS)
-                assert n_s == (dec.r - alpha0) + i
+                assert n_s == (r - alpha0) + i
 
     def test_structure_matches_blockwise(self):
         # h^i = q s, (m-k) f, s, (i-2) x [m f, s], final s for i >= 2
         for alpha0, beta0, m in [(1, 3, 1), (1, 5, 2), (2, 7, 3), (1, 8, 2)]:
             c = Threshold.from_m(m)
-            dec = decompose(beta0, m)
-            q = dec.r - alpha0
+            r, k = divmod(beta0, m)  # beta0 = m*r + k
+            q = r - alpha0
             for i in range(2, 7):
                 expect = (
                     "s" * q
-                    + "f" * (m - dec.k)
+                    + "f" * (m - k)
                     + "s"
                     + ("f" * m + "s") * (i - 2)
                     + "s"
                 )
                 got = format_strategy(frontier_strategy(alpha0, beta0, c, i))
                 assert got == expect, (alpha0, beta0, m, i)
-            tail = "s" * q + "f" * (m - dec.k) + "s"
+            tail = "s" * q + "f" * (m - k) + "s"
             h_inf = frontier_strategy(alpha0, beta0, c, math.inf)
             assert format_strategy(h_inf) == f"{tail}({'f' * m}s)*"
 

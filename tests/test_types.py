@@ -22,7 +22,6 @@ from sandbag import (
     Trajectory,
     TrajectoryRecord,
     classify,
-    decompose,
     dp_value,
     exhaustive_best,
     frontier_payoff,
@@ -47,7 +46,6 @@ SAMPLES = [
         "(<Action.SUCCESS: 's'>, 1)), cycle_runs=((<Action.FAILURE: 'f'>, 1), "
         "(<Action.SUCCESS: 's'>, 1)))",
     ),
-    (decompose(5, 2), "Decomposition(m=2, r=2, k=1)"),
     (ProblemInstance(1, 5, 2, 0.7), "ProblemInstance(alpha0=1, beta0=5, m=2, delta=0.7)"),
     (
         _OPTIMAL,
