@@ -35,7 +35,6 @@ from .strategy import (
     greedy_violations,
     is_feasible,
     parse_strategy,
-    second_frontier_closed_form,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "is_feasible",
     "greedy_violations",
     "frontier_strategy",
-    "second_frontier_closed_form",
     "payoff",
     "frontier_payoff",
     "breakeven_discount",

@@ -81,12 +81,6 @@ class Threshold(checked("Threshold", "num den")):
         check_m(m)
         return cls(1, m + 1)
 
-    @property
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.num, self.den)
-
     def step(self, slack: int, outcome: Action, count: int = 1) -> int:
         """Slack (see ``BeliefState.slack``) after ``count`` more of one
         outcome: a success uses up ``den - num``, a failure adds ``num``."""

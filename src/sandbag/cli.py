@@ -37,7 +37,7 @@ from .belief import LimitExceededError, Threshold
 from .payoff import breakeven_discount, payoff
 from .solver import OptimalKind, ProblemInstance, classify
 from .strategy import Strategy, format_strategy, frontier_strategy, parse_strategy
-from .strategy import _infinite_member, _opportunities
+from .strategy import _infinite_parts, _opportunities
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -185,7 +185,9 @@ def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
                                      f"limit is {WORD_LIMIT}")
         if len(blocks) == args.max_index:
             break
-    h_inf = _infinite_member(itertools.chain(blocks, walk), c)
+    free, pad, cycle = _infinite_parts(itertools.chain(blocks, walk), c)
+    h_inf = {"index": "hinf", "strategy": f"{'s' * free}{'f' * pad}s({cycle})*", "length": None,
+             "prefix_successes": free + 1, "cycle_length": c.den, "cycle_successes": c.num}
     entries: Table = []
     word = ""  # the walk so far; h^i is word + "s"
     successes = 0
@@ -195,9 +197,7 @@ def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
         entries.append({"index": f"h{i}", "strategy": word + "s", "length": pos + free + 1,
                         "prefix_successes": successes + 1})
         word += "f" * pad
-    entries.append({"index": "hinf", "strategy": format_strategy(h_inf), "length": None,
-                    "prefix_successes": blocks[0][1] + 1, "cycle_length": c.den,
-                    "cycle_successes": c.num})
+    entries.append(h_inf)
     return {"strategies": entries}, entries
 
 

@@ -73,8 +73,8 @@ def breakeven_discount(n: int, tol: float = 1e-12) -> BreakevenRoot:
     Iterates until both the bracket width and the residual at the
     midpoint are at most ``tol`` (or the bracket hits float spacing).
     """
-    # True == 1 and 2.0 == 2 hash alike, so only a genuine int may reach the cache
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    # True == 1, 2.0 == 2 and an IntEnum of 2 hash alike, so only a plain int may reach the cache
+    if type(n) is not int or n < 1:
         raise ValueError("n must be a positive integer")
     check_tol(tol, "tol", positive=True)
     return _bisect(n, tol)

@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .belief import Threshold, check_tol, checked, is_real, split_slack, start_slack
+from .belief import Threshold, check_tol, checked, is_real, split_slack
 from .payoff import breakeven_discount, frontier_payoff, payoff
 from .strategy import FamilyIndex, frontier_strategy
 
@@ -39,10 +39,7 @@ class ProblemInstance(checked("ProblemInstance", "alpha0 beta0 m delta")):
     __slots__ = ()
 
     def __new__(cls, alpha0: int, beta0: int, m: int, delta: float):
-        for name, v in (("alpha0", alpha0), ("beta0", beta0), ("m", m)):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
-        start_slack(alpha0, beta0, 1, m + 1)
+        split_slack(alpha0, beta0, m)
         if not (is_real(delta) and 0.0 < delta < 1.0):
             raise ValueError("delta out of range")
         return super().__new__(cls, alpha0, beta0, m, delta)

@@ -18,7 +18,10 @@ the cutoff afterwards, pad with the fewest failures otherwise, and cash
 in the crossing success at the index-th opportunity (never, for the
 infinite member). The generator ``_opportunities`` is the family's only
 walk: ``frontier_strategy`` reads it for each member, and the
-``enumerate`` command reads it once for the whole table.
+``enumerate`` command reads it once for the whole table. h^inf is a head
+and then exactly den actions repeated; ``_infinite_parts`` alone reads
+that off the walk, as the head's counts and the cycle's text, which
+``frontier_strategy`` turns into runs and ``enumerate`` prints.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 import re
 from typing import Iterable, Iterator, Union
 
-from .belief import Action, BeliefState, Threshold, checked, split_slack, start_slack
+from .belief import Action, BeliefState, Threshold, checked, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
@@ -67,18 +70,6 @@ def _grouped(actions: Iterable[Action]) -> Iterator[tuple[Action, int]]:
 
 def _expand(runs: tuple[Run, ...]) -> Iterator[Action]:
     return itertools.chain.from_iterable(itertools.repeat(a, n) for a, n in runs)
-
-
-def _slice(runs: Iterable[Run], start: int, stop: int) -> list[Run]:
-    """Runs covering positions [start, stop) of the word."""
-    out = []
-    pos = 0
-    for action, count in runs:
-        end = pos + count
-        if start < end and pos < stop:
-            out.append((action, min(stop, end) - max(start, pos)))
-        pos = end
-    return out
 
 
 class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
@@ -273,13 +264,6 @@ def greedy_violations(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> lis
     return out
 
 
-def second_frontier_closed_form(alpha0: int, beta0: int, m: int) -> Strategy:
-    """Closed-form h^2 for cutoff 1/(m+1) and prior slack m*q + k: q
-    successes, (m-k) failures, then two successes, the last crossing."""
-    q, k = split_slack(alpha0, beta0, m)
-    return Strategy.from_runs([(Action.SUCCESS, q), (Action.FAILURE, m - k), (Action.SUCCESS, 2)])
-
-
 def check_index(index: FamilyIndex) -> None:
     """Reject anything but an int >= 1 or math.inf (so no bool or 1.0)."""
     if index != math.inf and (type(index) is not int or index < 1):
@@ -303,20 +287,20 @@ def _opportunities(alpha0: int, beta0: int, c: Threshold) -> Iterator[tuple[int,
         slack += pad * c.num
 
 
-def _infinite_member(blocks: Iterable[tuple[int, int, int]], c: Threshold) -> Strategy:
-    """h^inf from the walk's blocks, read from the first: a prefix through
-    the free success after the first padding (at least one failure, as
-    slack < short at an opportunity), then a cycle of exactly den actions.
-    From there on the slack stays in [0, den) and each period adds num mod
-    den; the cutoff is reduced, so num and den are coprime and the word
-    repeats after exactly den periods, num of them successes."""
-    runs: list[Run] = []
-    for pos, free, pad in blocks:
-        if not runs:
-            head = free + pad + 1
-        runs += [(Action.SUCCESS, free), (Action.FAILURE, pad)]
-        if pos + free + pad >= head + c.den:
-            return Strategy.from_runs(_slice(runs, 0, head), _slice(runs, head, head + c.den))
+def _infinite_parts(blocks: Iterator[tuple[int, int, int]], c: Threshold) -> tuple[int, int, str]:
+    """h^inf from the walk's blocks, read from the first, as (free, pad,
+    cycle): its head is the first block's free successes and padding (at
+    least one failure, as slack < short at an opportunity) and then the
+    next block's first success, and its cycle is the den actions after
+    that. From there on the slack stays in [0, den) and each period adds
+    num mod den; the cutoff is reduced, so num and den are coprime and the
+    word repeats after exactly den periods, num of them successes."""
+    _, free1, pad1 = next(blocks)
+    text = ""  # the word after the first block, the head's last success first
+    for _, free, pad in blocks:
+        text += "s" * free + "f" * pad
+        if len(text) > c.den:
+            return free1, pad1, text[1 : c.den + 1]
 
 
 def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex) -> Strategy:
@@ -327,13 +311,15 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     affordable. The finite member h^i spends the crossing success at the
     i-th such opportunity; h^inf declines them all and is returned as a
     prefix plus a cycle of exactly den actions with num successes, so its
-    long-run success rate is the cutoff itself. Both take one run per block
-    of ``_opportunities``, so the cost is the number of blocks.
+    long-run success rate is the cutoff itself. Both read ``_opportunities``,
+    so the cost is the number of blocks.
     """
     check_index(index)
     blocks = _opportunities(alpha0, beta0, c)
     if index == math.inf:
-        return _infinite_member(blocks, c)
+        free, pad, cycle = _infinite_parts(blocks, c)
+        head = [(Action.SUCCESS, free), (Action.FAILURE, pad), (Action.SUCCESS, 1)]
+        return Strategy.from_runs(head, _grouped(cycle))
     runs: list[Run] = []
     for _, free, pad in itertools.islice(blocks, index - 1):
         runs += [(Action.SUCCESS, free), (Action.FAILURE, pad)]

@@ -28,7 +28,6 @@ from sandbag import (
     payoff,
     play_guesser,
     play_strategy,
-    second_frontier_closed_form,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -114,14 +113,15 @@ def test_criterion_3_second_member_structure():
     for a, b, m in grid_instances():
         c = Threshold.from_m(m)
         walked = frontier_strategy(a, b, c, 2)
-        closed = second_frontier_closed_form(a, b, m)
+        q, k = divmod(b - m * a, m)  # the prior's slack at 1/(m+1) is m*q + k
+        closed = parse_strategy("s" * q + "f" * (m - k) + "ss")
         if walked != closed:
             bad.append((a, b, m, "construction mismatch"))
             continue
         state = BeliefState(a, b)
         for action in walked.prefix[:-1]:
             state = state.update(action)
-        if state.posterior_mean != c.as_fraction:
+        if state.posterior_mean != Fraction(c.num, c.den):
             bad.append((a, b, m, "pre-terminal state off the boundary"))
     report(
         3,
@@ -244,13 +244,13 @@ def test_criterion_7_simulation_contracts():
             traj = play_strategy(a, b, c, h)
             if not traj.terminated or traj.termination_period != h.length:
                 bad.append((a, b, m, i, "finite member termination"))
-            if traj.records[-1].posterior_mean <= c.as_fraction:
+            if traj.records[-1].posterior_mean <= Fraction(c.num, c.den):
                 bad.append((a, b, m, i, "final mean not above cutoff"))
         h_inf = frontier_strategy(a, b, c, math.inf)
         traj = play_strategy(a, b, c, h_inf, max_periods=10_000)
         if traj.terminated or len(traj.records) != 10_000:
             bad.append((a, b, m, "infinite member terminated"))
-        if any(r.posterior_mean > c.as_fraction for r in traj.records):
+        if any(r.posterior_mean > Fraction(c.num, c.den) for r in traj.records):
             bad.append((a, b, m, "infinite member crossed the cutoff"))
     cfg = GuesserConfig(0.5, 20260815)
     first = play_guesser(1, 3, Threshold(1, 2), cfg, max_periods=2000)

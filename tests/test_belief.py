@@ -27,9 +27,6 @@ class TestThreshold:
         assert Threshold.from_m(1) == Threshold(1, 2)
         assert Threshold.from_m(3) == Threshold(1, 4)
 
-    def test_as_fraction(self):
-        assert Threshold(3, 9).as_fraction == Fraction(1, 3)
-
     @pytest.mark.parametrize("num,den", [(0, 2), (2, 2), (3, 2), (-1, 2), (1, 0), (1, -3)])
     def test_rejects_out_of_range(self, num, den):
         with pytest.raises(ValueError):
@@ -127,7 +124,7 @@ class TestWithinThreshold:
                         b = BeliefState(alpha0, beta0, ns, nf)
                         mean = Fraction(alpha0 + ns, alpha0 + ns + beta0 + nf)
                         for c in thresholds:
-                            assert b.within_threshold(c) == (mean <= c.as_fraction)
+                            assert b.within_threshold(c) == (mean <= Fraction(c.num, c.den))
 
     def test_slack_sign_tracks_within(self):
         c = Threshold(2, 5)
@@ -186,7 +183,7 @@ class TestStartSlack:
                 c = Threshold(num, den)
                 for alpha0 in range(1, 41):
                     for beta0 in range(1, 41):
-                        if Fraction(alpha0, alpha0 + beta0) > c.as_fraction:
+                        if Fraction(alpha0, alpha0 + beta0) > Fraction(num, den):
                             with pytest.raises(ValueError, match="prior mean exceeds threshold"):
                                 start_slack(alpha0, beta0, num, den)
                             continue

@@ -136,6 +136,27 @@ class TestEnumerate:
                     assert row["cycle_length"] == len(x.cycle)
                     assert row["cycle_successes"] == x.cycle.count(Action.SUCCESS)
 
+    def test_builds_no_strategy(self, monkeypatch):
+        # every word, h^inf's too, is text from the walk; no Strategy is built
+        def fail(*args, **kwargs):
+            raise AssertionError("Strategy built")
+
+        monkeypatch.setattr("sandbag.strategy.Strategy.from_runs", fail)
+        for alpha, beta, num, den in _boundary_priors(12, alphas=(1,), betas=2):
+            for fmt in ("json", "csv"):
+                argv = [*_enumerate_argv(beta, num, den, 8, alpha), "--format", fmt]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+
+    def test_infinite_row_equals_the_library_member(self):
+        # enumerate formats h^inf from the walk's head counts and cycle text;
+        # it must print what frontier_strategy builds and format_strategy writes
+        for alpha, beta, num, den in [*_boundary_priors(40), (1, 2, 50001, 100003)]:
+            args = argparse.Namespace(alpha=alpha, beta=beta, c_num=num, c_den=den, max_index=1)
+            _, rows = cli._cmd_enumerate(args)
+            x = frontier_strategy(alpha, beta, Threshold(num, den), math.inf)
+            assert rows[-1]["strategy"] == format_strategy(x), (alpha, beta, num, den)
+
     # SHA-256 of the concatenated stdout of enumerate --max-index 8 on every
     # prior and reduced cutoff of _priors_and_cutoffs(7, 2, 10), as printed
     # when each member was built and formatted on its own
@@ -431,6 +452,18 @@ def _priors_and_cutoffs(max_den: int, max_alpha: int, max_beta: int):
                         yield alpha, beta, num, den
 
 
+def _boundary_priors(max_den: int, alphas=(1, 2), betas: int = 4):
+    """(alpha, beta, num, den) for every cutoff num/den in lowest terms with
+    den <= max_den: each alpha with the least beta whose prior is within the
+    cutoff, and the next betas - 1."""
+    for den in range(2, max_den + 1):
+        for num in (n for n in range(1, den) if math.gcd(n, den) == 1):
+            for alpha in alphas:
+                low = -(-(den - num) * alpha // num)
+                for beta in range(low, low + betas):
+                    yield alpha, beta, num, den
+
+
 def _enumerate_argv(beta, c_num, c_den, max_index, alpha=1) -> tuple[str, ...]:
     return ("enumerate", "--alpha", str(alpha), "--beta", str(beta), "--c-num", str(c_num),
             "--c-den", str(c_den), "--max-index", str(max_index))
@@ -451,7 +484,7 @@ _CAPS = {
     # test_enumerate_cap_inputs_total_their_bounds checks their totals.
     # Many rows: Beta(1, b) at cutoff 1/2 prints (N + 1)*b + N*(N - 1) + 3
     "enumerate-rows": (
-        ["sandbag.cli._infinite_member"],
+        ["sandbag.cli._infinite_parts"],
         lambda v: _enumerate_argv(*v),
         (4381, 1, 2, 1656),
         (2074, 1, 2, 2291),
@@ -486,7 +519,7 @@ _CAPS = {
     # two long words: h^1 and h^inf from Beta(1, b) at cutoff 1/3 print b + 3
     # actions for odd b and b + 5 for even b
     "enumerate-word": (
-        ["sandbag.cli._infinite_member"],
+        ["sandbag.cli._infinite_parts"],
         lambda v: _enumerate_argv(*v),
         (WORD_LIMIT - 3, 1, 3, 1),
         (WORD_LIMIT - 4, 1, 3, 1),
@@ -494,7 +527,7 @@ _CAPS = {
     # a long cycle: h^inf's is den actions; from Beta(1, den) at cutoff 1/den
     # h^1 and h^inf print 2*den actions, and from Beta(1, den + 1) 2*den - 1
     "enumerate-cycle": (
-        ["sandbag.cli._infinite_member"],
+        ["sandbag.cli._infinite_parts"],
         lambda v: _enumerate_argv(*v),
         (WORD_LIMIT // 2, 1, WORD_LIMIT // 2, 1),
         (WORD_LIMIT // 2 + 2, 1, WORD_LIMIT // 2 + 1, 1),

@@ -1,7 +1,8 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
 one module deciding whether a prior starts within the cutoff, one walk for
-the frontier family, one base for the checked value types, and each CLI
-command importing only the modules it runs."""
+the frontier family, enumerate printing its words without a Strategy, one
+base for the checked value types, and each CLI command importing only the
+modules it runs."""
 
 import ast
 import contextlib
@@ -88,6 +89,19 @@ def test_enumerate_starts_the_walk_once(monkeypatch):
     strategy.frontier_strategy(1, 3, sandbag.Threshold(1, 2), 40)
     strategy.frontier_strategy(1, 3, sandbag.Threshold(1, 2), math.inf)
     assert len(starts) == 3  # and one per member built alone
+
+
+def test_enumerate_formats_its_words_itself():
+    """``enumerate`` prints h^inf from the walk's head counts and cycle text,
+    with no Strategy in between, and runs are no longer sliced."""
+    from sandbag import cli, strategy
+
+    tree = ast.parse((ROOT / "src" / "sandbag" / "cli.py").read_text())
+    (fn,) = [n for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef) and n.name == "_cmd_enumerate"]
+    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    assert not names & {"Strategy", "frontier_strategy", "format_strategy"}
+    assert hasattr(cli, "_infinite_parts") and not hasattr(strategy, "_slice")
 
 
 def test_checked_types_share_the_belief_base():

@@ -1,6 +1,7 @@
 """Discounted values, closed forms, and breakeven roots."""
 
 import contextlib
+import enum
 import hashlib
 import io
 import math
@@ -108,6 +109,15 @@ class TestBreakevenDiscount:
             breakeven_discount(warm)
         with pytest.raises(ValueError, match="positive integer"):
             breakeven_discount(n)
+
+    def test_int_subclass_n_leaves_the_cache_plain(self):
+        class N(enum.IntEnum):
+            TWO = 2
+
+        _bisect.cache_clear()
+        with pytest.raises(ValueError, match="positive integer"):
+            breakeven_discount(N.TWO)
+        assert type(breakeven_discount(2).n) is int
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12, True, "0.5", None])
     def test_rejects_bad_tol_with_root_cached(self, tol):

@@ -47,7 +47,7 @@ class TestPlayStrategy:
                 traj = play_strategy(alpha0, beta0, c, h)
                 assert traj.terminated
                 assert traj.termination_period == h.length
-                assert traj.records[-1].posterior_mean > c.as_fraction
+                assert traj.records[-1].posterior_mean > Fraction(c.num, c.den)
 
     def test_infinite_member_survives(self):
         h = frontier_strategy(1, 3, C_HALF, math.inf)

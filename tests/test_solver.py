@@ -1,5 +1,6 @@
 """Regime classification against the breakeven roots, and its cross-check."""
 
+import enum
 import math
 import random
 
@@ -41,10 +42,17 @@ class TestProblemInstance:
             with pytest.raises(ValueError):
                 ProblemInstance(**kwargs)
 
-    def test_threshold_property(self):
-        from fractions import Fraction
+    def test_rejects_int_subclass_m(self):
+        # classify and threshold refuse such an m, so construction does too
+        class M(enum.IntEnum):
+            TWO = 2
 
-        assert ProblemInstance(1, 3, 3, 0.5).threshold.as_fraction == Fraction(1, 4)
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            ProblemInstance(1, 5, M.TWO, 0.7)
+
+    def test_threshold_property(self):
+        c = ProblemInstance(1, 3, 3, 0.5).threshold
+        assert (c.num, c.den) == (1, 4)
 
 
 class TestClassify:

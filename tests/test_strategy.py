@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,6 @@ from sandbag import (
     greedy_violations,
     is_feasible,
     parse_strategy,
-    second_frontier_closed_form,
 )
 from sandbag.strategy import check_index
 
@@ -158,26 +158,9 @@ class TestFrontierFamily:
         [(1, 3, 1, "ssfss"), (1, 5, 2, "sfss"), (2, 7, 3, "ffss")],
     )
     def test_second_member_closed_form(self, alpha0, beta0, m, text):
-        assert format_strategy(second_frontier_closed_form(alpha0, beta0, m)) == text
-
-    def test_second_member_rejects_high_prior(self):
-        with pytest.raises(ValueError, match="exceeds threshold"):
-            second_frontier_closed_form(3, 2, 1)
-
-    @pytest.mark.parametrize("alpha0", [0, -2])
-    def test_second_member_rejects_nonpositive_alpha(self, alpha0):
-        with pytest.raises(ValueError, match="pseudo-counts"):
-            second_frontier_closed_form(alpha0, 3, 1)
-
-    @pytest.mark.parametrize("m", [0, -1])
-    def test_second_member_rejects_nonpositive_m(self, m):
-        with pytest.raises(ValueError):
-            second_frontier_closed_form(1, 3, m)
-
-    @pytest.mark.parametrize("m", [2.0, True, False, 1.5, "2", None])
-    def test_second_member_rejects_bool_and_float_m(self, m):
-        with pytest.raises(ValueError, match="m must be an integer"):
-            second_frontier_closed_form(1, 5, m)
+        # at cutoff 1/(m+1) with prior slack m*q + k, h^2 is q successes,
+        # m - k failures and two successes
+        assert format_strategy(frontier_strategy(alpha0, beta0, Threshold.from_m(m), 2)) == text
 
     @pytest.mark.parametrize(
         "index,text",
@@ -283,7 +266,7 @@ class TestFrontierFamily:
             state = BeliefState(alpha0, beta0)
             for a in h2.prefix[:-1]:
                 state = state.update(a)
-            assert state.posterior_mean == c.as_fraction
+            assert state.posterior_mean == Fraction(c.num, c.den)
 
 
 def general_cutoff_grid():

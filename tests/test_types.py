@@ -125,7 +125,7 @@ def test_validated_types_keep_their_messages():
         Threshold(1.0, 2)
     with pytest.raises(ValueError, match="observation counts must be nonnegative"):
         BeliefState(1, 3, -1)
-    with pytest.raises(ValueError, match="beta0 must be an integer >= 1"):
+    with pytest.raises(ValueError, match="prior pseudo-counts must be integers >= 1"):
         ProblemInstance(1, True, 1, 0.5)
     with pytest.raises(ValueError, match="delta out of range"):
         ProblemInstance(1, 3, 1, 1.0)
