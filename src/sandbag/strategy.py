@@ -8,9 +8,11 @@ words and ``"ssfs(fs)*"`` for infinite ones.
 
 A schedule is stored as runs, ``((action, count), ...)`` for the prefix
 and for the cycle, so a block of 10^5 free successes costs one entry.
-The feasibility and greedy checks here, and pricing in ``payoff``, work
-run by run; the per-action tuples ``prefix`` and ``cycle`` are expanded
-only when read.
+``Strategy(prefix_runs, cycle_runs)`` is the only constructor, and
+``_runs`` turns a word's text into runs for ``parse_strategy`` and for
+h^inf's cycle. The feasibility and greedy checks here, and pricing in
+``payoff``, work run by run; the per-action tuples ``prefix`` and
+``cycle`` are expanded only when read.
 
 The frontier family h^1, h^2, ..., h^inf enumerates the schedules that
 hug the suspicion boundary: succeed whenever the posterior stays within
@@ -37,6 +39,8 @@ from .belief import Action, BeliefState, Threshold, checked, start_slack
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
 _WORD = re.compile("[sf]*")
+_RUN = re.compile("s+|f+")
+_ACTION = {a.value: a for a in Action}
 
 
 class StrategyParseError(ValueError):
@@ -47,25 +51,26 @@ class StrategyParseError(ValueError):
         self.position = position
 
 
-def _merge(runs: Iterable[tuple[Action, int]]) -> tuple[Run, ...]:
+def _merge(runs: Iterable[Run]) -> tuple[Run, ...]:
     """Canonical runs: zero counts dropped, neighbours with equal actions
     joined, so each word has exactly one run form."""
-    out: list[list] = []
+    out: list[Run] = []
     for action, count in runs:
         if type(count) is not int or count < 0:
             raise ValueError(f"run count must be a nonnegative integer, got {count!r}")
+        if type(action) is not Action:
+            raise ValueError(f"run action must be an Action, got {action!r}")
         if count:
-            if type(action) is not Action:
-                action = Action(action)
             if out and out[-1][0] is action:
-                out[-1][1] += count
+                out[-1] = (action, out[-1][1] + count)
             else:
-                out.append([action, count])
-    return tuple(map(tuple, out))
+                out.append((action, count))
+    return tuple(out)
 
 
-def _grouped(actions: Iterable[Action]) -> Iterator[tuple[Action, int]]:
-    return ((a, len(list(group))) for a, group in itertools.groupby(actions))
+def _runs(text: str) -> list[Run]:
+    """The runs of a word over {s, f}."""
+    return [(_ACTION[run[0]], len(run)) for run in _RUN.findall(text)]
 
 
 def _expand(runs: tuple[Run, ...]) -> Iterator[Action]:
@@ -75,25 +80,15 @@ def _expand(runs: tuple[Run, ...]) -> Iterator[Action]:
 class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
     """Finite or eventually periodic outcome schedule.
 
-    ``Strategy(prefix, cycle)`` takes per-action tuples and
-    ``Strategy.from_runs`` takes runs; both store canonical runs, so
-    equality and hashing do not depend on the constructor. ``cycle is
-    None`` marks a finite strategy; otherwise the schedule is ``prefix``
-    followed by ``cycle`` repeated forever. ``prefix`` and ``cycle`` are
+    ``Strategy(prefix_runs, cycle_runs)`` takes ``(action, count)`` runs,
+    drops zero counts and joins equal neighbours, so equality and hashing
+    see one canonical form. ``cycle_runs is None`` marks a finite
+    strategy; otherwise the schedule is the prefix followed by the cycle
+    repeated forever. ``prefix`` and ``cycle`` are the per-action tuples,
     expanded from the runs on first read and then cached.
     """
 
-    def __new__(cls, prefix: Iterable[Action], cycle: Iterable[Action] | None = None):
-        return cls.from_runs(_grouped(prefix), None if cycle is None else _grouped(cycle))
-
-    @classmethod
-    def from_runs(
-        cls,
-        prefix_runs: Iterable[tuple[Action, int]],
-        cycle_runs: Iterable[tuple[Action, int]] | None = None,
-    ) -> "Strategy":
-        """Build from ``(action, count)`` runs; zero counts are allowed
-        and dropped, and equal neighbours are joined."""
+    def __new__(cls, prefix_runs: Iterable[Run], cycle_runs: Iterable[Run] | None = None):
         prefix_runs = _merge(prefix_runs)
         cycle_runs = None if cycle_runs is None else _merge(cycle_runs)
         if cycle_runs is None:
@@ -103,15 +98,8 @@ class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
             raise ValueError("cycle must contain at least one action")
         return super().__new__(cls, prefix_runs, cycle_runs)
 
-    @classmethod
-    def _make(cls, iterable) -> "Strategy":
-        return cls.from_runs(*iterable)
-
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return Strategy.from_runs, tuple(self)
 
     @functools.cached_property
     def prefix(self) -> tuple[Action, ...]:
@@ -131,7 +119,10 @@ class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
         return sum(n for _, n in self.prefix_runs) if self.cycle_runs is None else None
 
     def actions(self, limit: int | None = None) -> Iterator[Action]:
-        """Yield the schedule in order; ``limit`` bounds infinite ones."""
+        """Yield the schedule in order; ``limit``, None or an int >= 0,
+        bounds infinite ones."""
+        if limit is not None and (type(limit) is not int or limit < 0):
+            raise ValueError(f"limit must be None or an integer >= 0, got {limit!r}")
         seq = _expand(self.prefix_runs)
         if self.cycle_runs is not None:
             seq = itertools.chain(seq, itertools.cycle(_expand(self.cycle_runs)))
@@ -144,15 +135,17 @@ class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
 def parse_strategy(text: str) -> Strategy:
     """Parse ``"ssfss"`` or ``"ssfs(fs)*"`` into a Strategy.
 
-    Rejects empty input, stray characters, and malformed cycle syntax,
-    reporting the 1-based offending position.
+    Rejects a non-str, empty input, stray characters, and malformed cycle
+    syntax, reporting the 1-based offending position.
     """
+    if not isinstance(text, str):
+        raise StrategyParseError(f"strategy text must be a str, not {type(text).__name__}", 1)
     if not text:
         raise StrategyParseError("empty strategy text", 1)
     i = _WORD.match(text).end()
     prefix = text[:i]
     if i == len(text):
-        return Strategy.from_runs(_grouped(prefix))
+        return Strategy(_runs(prefix))
     if text[i] != "(":
         raise StrategyParseError(f"unexpected character {text[i]!r}", i + 1)
     j = _WORD.match(text, i + 1).end()
@@ -170,7 +163,7 @@ def parse_strategy(text: str) -> Strategy:
         raise StrategyParseError("cycle must be followed by '*'", i + 1)
     if i + 1 != len(text):
         raise StrategyParseError("trailing characters after cycle", i + 2)
-    return Strategy.from_runs(_grouped(prefix), _grouped(cycle))
+    return Strategy(_runs(prefix), _runs(cycle))
 
 
 def format_strategy(x: Strategy) -> str:
@@ -296,11 +289,13 @@ def _infinite_parts(blocks: Iterator[tuple[int, int, int]], c: Threshold) -> tup
     num mod den; the cutoff is reduced, so num and den are coprime and the
     word repeats after exactly den periods, num of them successes."""
     _, free1, pad1 = next(blocks)
-    text = ""  # the word after the first block, the head's last success first
+    parts: list[str] = []  # the word after the first block, the head's last success first
+    length = 0
     for _, free, pad in blocks:
-        text += "s" * free + "f" * pad
-        if len(text) > c.den:
-            return free1, pad1, text[1 : c.den + 1]
+        parts += ("s" * free, "f" * pad)
+        length += free + pad
+        if length > c.den:
+            return free1, pad1, "".join(parts)[1 : c.den + 1]
 
 
 def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex) -> Strategy:
@@ -319,9 +314,9 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     if index == math.inf:
         free, pad, cycle = _infinite_parts(blocks, c)
         head = [(Action.SUCCESS, free), (Action.FAILURE, pad), (Action.SUCCESS, 1)]
-        return Strategy.from_runs(head, _grouped(cycle))
+        return Strategy(head, _runs(cycle))
     runs: list[Run] = []
     for _, free, pad in itertools.islice(blocks, index - 1):
         runs += [(Action.SUCCESS, free), (Action.FAILURE, pad)]
     _, free, _ = next(blocks)
-    return Strategy.from_runs([*runs, (Action.SUCCESS, free + 1)])
+    return Strategy([*runs, (Action.SUCCESS, free + 1)])

@@ -141,7 +141,7 @@ class TestEnumerate:
         def fail(*args, **kwargs):
             raise AssertionError("Strategy built")
 
-        monkeypatch.setattr("sandbag.strategy.Strategy.from_runs", fail)
+        monkeypatch.setattr("sandbag.strategy.Strategy.__new__", fail)
         for alpha, beta, num, den in _boundary_priors(12, alphas=(1,), betas=2):
             for fmt in ("json", "csv"):
                 argv = [*_enumerate_argv(beta, num, den, 8, alpha), "--format", fmt]

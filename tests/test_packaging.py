@@ -1,8 +1,8 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
 one module deciding whether a prior starts within the cutoff, one walk for
 the frontier family, enumerate printing its words without a Strategy, one
-base for the checked value types, and each CLI command importing only the
-modules it runs."""
+base for the checked value types, one Strategy constructor, and each CLI
+command importing only the modules it runs."""
 
 import ast
 import contextlib
@@ -124,6 +124,24 @@ def test_checked_types_share_the_belief_base():
         assert len(bases[name]) == 1 and bases[name][0].startswith(f"checked('{name}', "), name
     shells = {name for name, b in bases.items() if b == ["NamedTuple"]}
     assert not [name for name, b in bases.items() if shells.intersection(b)]
+
+
+def test_strategy_has_one_constructor():
+    """``Strategy(prefix_runs, cycle_runs)`` is the only way to build a
+    schedule: ``_make``, pickle and copy reach it through ``belief.checked``'s
+    base, which alone defines ``_make``, and no class defines ``__reduce__``."""
+    from sandbag import strategy
+
+    overrides = {
+        (node.name, f.name)
+        for p in sorted((ROOT / "src" / "sandbag").glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for f in node.body
+        if isinstance(f, ast.FunctionDef) and f.name in {"_make", "__reduce__"}
+    }
+    assert overrides == {("Checked", "_make")}
+    assert not hasattr(strategy.Strategy, "from_runs") and not hasattr(strategy, "_grouped")
 
 
 # one small argv per command; which of the watched modules each may load

@@ -119,21 +119,21 @@ def random_word(rng, c, alpha0, beta0):
         try:
             h = frontier_strategy(alpha0, beta0, c, index)
         except ValueError:  # prior above the cutoff
-            h = Strategy.from_runs([(S, 1)], [(F, 1), (S, 1)])
-        prefix, cycle = list(h.prefix), h.cycle
+            h = Strategy([(S, 1)], [(F, 1), (S, 1)])
+        prefix = list(h.prefix)
         for _ in range(rng.randint(0, 2)):
             i = rng.randrange(len(prefix) + 1)
             if i < len(prefix):
                 prefix[i] = F if prefix[i] is S else S
-        return Strategy(prefix or [S], cycle)
+        return Strategy([(a, 1) for a in prefix or [S]], h.cycle_runs)
     prefix = random_runs(rng, c, rng.randint(0, 6))
     if rng.random() < 0.4:
-        return Strategy.from_runs(prefix or [(S, 1)])
+        return Strategy(prefix or [(S, 1)])
     if rng.random() < 0.5:
         # only successes first, sinking the slack, so that an upward-drifting
         # cycle reaches a violation only in some later repetition
         prefix = [(S, rng.randint(1, 200))]
-    return Strategy.from_runs(prefix, random_runs(rng, c, rng.randint(1, 4)))
+    return Strategy(prefix, random_runs(rng, c, rng.randint(1, 4)))
 
 
 def test_matches_per_action_reference():
@@ -183,21 +183,24 @@ def test_large_prior_family_structure(m):
             closed = frontier_payoff(alpha0, BETA_LARGE, m, i, delta)
             assert math.isclose(payoff(h, delta), closed, rel_tol=1e-12)
         assert parse_strategy(format_strategy(h)) == h
-        from_tuples = Strategy(h.prefix, h.cycle)
-        assert from_tuples == h and hash(from_tuples) == hash(h)
+        per_action = Strategy([(a, 1) for a in h.prefix], h.cycle and [(a, 1) for a in h.cycle])
+        assert per_action == h and hash(per_action) == hash(h)
 
 
 class TestRunForm:
     def test_constructors_agree(self):
-        x = Strategy((S, S, F, S), (F, S))
-        y = Strategy.from_runs([(S, 1), (S, 1), (F, 0), (F, 1), (S, 1)], [(F, 1), (S, 1)])
-        assert x == y and hash(x) == hash(y)
+        # per-action runs, zero counts and split runs all merge to the parsed form
+        x = Strategy([(a, 1) for a in (S, S, F, S)], [(F, 1), (S, 1)])
+        y = Strategy([(S, 1), (S, 1), (F, 0), (F, 1), (S, 1)], [(F, 1), (S, 1)])
+        assert x == y == parse_strategy("ssfs(fs)*") and hash(x) == hash(y)
         assert x.prefix_runs == ((S, 2), (F, 1), (S, 1))
         assert y.prefix == (S, S, F, S) and y.cycle == (F, S)
         assert format_strategy(y) == "ssfs(fs)*"
 
-    def test_text_actions_are_converted(self):
-        assert Strategy(("s", "f", "s")) == parse_strategy("sfs")
+    def test_text_actions_are_refused(self):
+        for prefix in ([("s", 1)], [(S, 1), ("f", 2)], [("s", 0)]):
+            with pytest.raises(ValueError, match="run action must be an Action, got '[sf]'"):
+                Strategy(prefix)
 
     @pytest.mark.parametrize(
         "prefix, cycle",
@@ -212,9 +215,9 @@ class TestRunForm:
     )
     def test_from_runs_rejects(self, prefix, cycle):
         with pytest.raises(ValueError):
-            Strategy.from_runs(prefix, cycle)
+            Strategy(prefix, cycle)
 
     def test_actions_stream_without_expanding(self):
-        x = Strategy.from_runs([(S, 10**9)], [(F, 1), (S, 1)])
+        x = Strategy([(S, 10**9)], [(F, 1), (S, 1)])
         assert "".join(a.value for a in x.actions(limit=3)) == "sss"
         assert "prefix" not in vars(x)  # the lazy tuple was never built

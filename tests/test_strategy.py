@@ -68,15 +68,28 @@ class TestParseFormat:
         with pytest.raises(StrategyParseError):
             parse_strategy(text)
 
+    @pytest.mark.parametrize("text", [5, b"ss", ["s", "s"], None])
+    def test_non_str_is_a_parse_error(self, text):
+        # an int, bytes or list used to raise TypeError from the regex, and
+        # None was reported as empty text
+        with pytest.raises(StrategyParseError, match=f"must be a str, not {type(text).__name__}"):
+            parse_strategy(text)
+
     def test_actions_iterator_bounds_infinite(self):
         x = strat("s(fs)*")
         assert "".join(a.value for a in x.actions(limit=6)) == "sfsfsf"
+        assert list(x.actions(limit=0)) == []
+
+    @pytest.mark.parametrize("limit", [True, False, -1, 2.0, "2"])
+    def test_actions_limit_must_be_an_int(self, limit):
+        with pytest.raises(ValueError, match="limit must be None or an integer >= 0"):
+            strat("s(fs)*").actions(limit)
 
     def test_strategy_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite strategy must contain at least one action"):
             Strategy(())
-        with pytest.raises(ValueError):
-            Strategy((Action.SUCCESS,), ())
+        with pytest.raises(ValueError, match="cycle must contain at least one action"):
+            Strategy([(Action.SUCCESS, 1)], ())
 
 
 class TestFeasibility:

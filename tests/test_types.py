@@ -130,7 +130,7 @@ def test_validated_types_keep_their_messages():
     with pytest.raises(ValueError, match="delta out of range"):
         ProblemInstance(1, 3, 1, 1.0)
     with pytest.raises(ValueError, match="cycle must contain at least one action"):
-        Strategy.from_runs([(S, 1)], [(F, 0)])
+        Strategy([(S, 1)], [(F, 0)])
     with pytest.raises(ValueError, match=r"p_true must lie in \[0, 1\]"):
         GuesserConfig(1.5, 1)
 
@@ -191,7 +191,9 @@ def test_make_builds_through_the_constructor():
     x = Threshold._make((2, 4))
     assert x == Threshold(1, 2) and repr(x) == "Threshold(num=1, den=2)"
     assert Strategy._make([[(S, 2), (F, 0), (F, 1)], None]) == parse_strategy("ssf")
-    assert Strategy._make([[], [(F, 1), ("s", 1)]]) == parse_strategy("(fs)*")
+    assert Strategy._make([[], [(F, 1), (S, 1)]]) == parse_strategy("(fs)*")
+    with pytest.raises(ValueError, match="run action must be an Action, got 's'"):
+        Strategy._make([[], [(F, 1), ("s", 1)]])
 
 
 @pytest.mark.parametrize("value", [v for v, _, _, _ in CHECKED], ids=CHECKED_IDS)
