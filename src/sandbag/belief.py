@@ -83,10 +83,13 @@ class Threshold(checked("Threshold", "num den")):
 
     def step(self, slack: int, outcome: Action, count: int = 1) -> int:
         """Slack (see ``BeliefState.slack``) after ``count`` more of one
-        outcome: a success uses up ``den - num``, a failure adds ``num``."""
+        outcome: a success uses up ``den - num``, a failure adds ``num``.
+        Any outcome but an ``Action`` is refused, the text "s" too."""
         if outcome is Action.SUCCESS:
             return slack - count * (self.den - self.num)
-        return slack + count * self.num
+        if outcome is Action.FAILURE:
+            return slack + count * self.num
+        raise ValueError(f"outcome must be an Action, got {outcome!r}")
 
     def padding(self, slack: int) -> int:
         """Fewest failures after which one more success keeps the slack

@@ -12,8 +12,9 @@ an existing output file is refused without --force.
 Exit codes: 0 success, 2 usage or validation error, 3 input over a
 hard cap, checked before the work starts:
 - more than ROW_LIMIT (100,000) rows: thresholds --n-max, simulate
-  --max-periods, sweep grid points;
-- a strategy word longer than WORD_LIMIT (10^7 actions) in solve;
+  --max-periods or a finite simulate --strategy word, sweep grid points;
+- a strategy word longer than WORD_LIMIT (10^7 actions) in solve, counted
+  from the walk before any word is built;
 - more than WORD_LIMIT actions in all of enumerate's words, h^1..h^N and
   h^inf, summed from the walk before any word is built; as h^i has at
   least i actions and h^inf's cycle den, this bounds rows and --c-den too;
@@ -36,7 +37,7 @@ from . import __version__
 from .belief import LimitExceededError, Threshold
 from .payoff import breakeven_discount, payoff
 from .solver import OptimalKind, ProblemInstance, classify
-from .strategy import Strategy, format_strategy, frontier_strategy, parse_strategy
+from .strategy import format_strategy, frontier_strategy, parse_strategy
 from .strategy import _infinite_parts, _opportunities
 
 EXIT_OK = 0
@@ -51,11 +52,19 @@ def _check_rows(what: str, rows: float) -> None:
         raise LimitExceededError(f"{what} would give {rows:.6g} rows, limit is {ROW_LIMIT}")
 
 
-def _format_capped(x: Strategy) -> str:
-    actions = sum(n for _, n in x.prefix_runs) + sum(n for _, n in x.cycle_runs or ())
+def _check_word(alpha: int, beta: int, c: Threshold, index) -> None:
+    """Refuse h^index's word over WORD_LIMIT actions, counted from the walk
+    as enumerate counts it: h^i has pos + free + 1, h^inf its first block's
+    free + pad + 1 and then den."""
+    blocks = _opportunities(alpha, beta, c)
+    if index == math.inf:
+        _, free, pad = next(blocks)
+        actions = free + pad + 1 + c.den
+    else:
+        pos, free, _ = next(itertools.islice(blocks, index - 1, None))
+        actions = pos + free + 1
     if actions > WORD_LIMIT:
         raise LimitExceededError(f"strategy word has {actions} actions, limit is {WORD_LIMIT}")
-    return format_strategy(x)
 
 
 def index_label(index) -> str:
@@ -146,11 +155,13 @@ def _cmd_solve(args) -> tuple[dict[str, Any], Table]:
     inst = ProblemInstance(args.alpha, args.beta, args.m, args.delta)
     result = classify(inst, tie_tol=args.tie_tol)
     c = inst.threshold
+    for i in result.members:  # before any word is built
+        _check_word(args.alpha, args.beta, c, i)
     rows = [
         {
             "kind": result.kind.value,
             "index": index_label(i),
-            "strategy": _format_capped(frontier_strategy(args.alpha, args.beta, c, i)),
+            "strategy": format_strategy(frontier_strategy(args.alpha, args.beta, c, i)),
             "payoff": result.payoffs[i],
             "z_low": result.z_low,
             "z_high": result.z_high,
@@ -246,6 +257,8 @@ def _cmd_simulate(args) -> tuple[dict[str, Any], Table]:
     _check_rows("--max-periods", args.max_periods)
     if args.strategy is not None:
         x = parse_strategy(args.strategy)
+        if x.is_finite:  # a finite word plays to its own length
+            _check_rows("--strategy", x.length)
         traj = sim.play_strategy(args.alpha, args.beta, c, x, args.delta, args.max_periods)
         source: dict[str, Any] = {"strategy": args.strategy}
     else:

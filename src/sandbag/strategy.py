@@ -12,7 +12,7 @@ and for the cycle, so a block of 10^5 free successes costs one entry.
 ``_runs`` turns a word's text into runs for ``parse_strategy`` and for
 h^inf's cycle. The feasibility and greedy checks here, and pricing in
 ``payoff``, work run by run; the per-action tuples ``prefix`` and
-``cycle`` are expanded only when read.
+``cycle`` are expanded on each read and never stored.
 
 The frontier family h^1, h^2, ..., h^inf enumerates the schedules that
 hug the suspicion boundary: succeed whenever the posterior stays within
@@ -28,7 +28,6 @@ that off the walk, as the head's counts and the cycle's text, which
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -85,8 +84,10 @@ class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
     see one canonical form. ``cycle_runs is None`` marks a finite
     strategy; otherwise the schedule is the prefix followed by the cycle
     repeated forever. ``prefix`` and ``cycle`` are the per-action tuples,
-    expanded from the runs on first read and then cached.
+    expanded from the runs on each read and never stored.
     """
+
+    __slots__ = ()
 
     def __new__(cls, prefix_runs: Iterable[Run], cycle_runs: Iterable[Run] | None = None):
         prefix_runs = _merge(prefix_runs)
@@ -98,14 +99,11 @@ class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
             raise ValueError("cycle must contain at least one action")
         return super().__new__(cls, prefix_runs, cycle_runs)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    @functools.cached_property
+    @property
     def prefix(self) -> tuple[Action, ...]:
         return tuple(_expand(self.prefix_runs))
 
-    @functools.cached_property
+    @property
     def cycle(self) -> tuple[Action, ...] | None:
         return None if self.cycle_runs is None else tuple(_expand(self.cycle_runs))
 

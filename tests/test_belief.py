@@ -46,6 +46,11 @@ class TestThreshold:
         with pytest.raises(ValueError, match="integers"):
             Threshold(num, den)
 
+    @pytest.mark.parametrize("outcome", ["s", "f", "x", None, 5, 1.0, True])
+    def test_step_refuses_a_non_action(self, outcome):
+        with pytest.raises(ValueError, match="outcome must be an Action"):
+            Threshold(1, 2).step(5, outcome)
+
 
 class TestBeliefState:
     def test_prior_mean(self):

@@ -502,6 +502,15 @@ _CAPS = {
         ROW_LIMIT,
         ROW_LIMIT + 1,
     ),
+    # a finite word plays to its own length, whatever --max-periods says:
+    # v successes from Beta(1, v) at cutoff 1/2 cross on the last one
+    "simulate-word-rows": (
+        ["sandbag.sim.play_strategy"],
+        lambda v: ("simulate", "--alpha", "1", "--beta", str(v), "--c-num", "1", "--c-den", "2",
+                   "--strategy", "s" * v, "--max-periods", "1"),
+        ROW_LIMIT,
+        ROW_LIMIT + 1,
+    ),
     "simulate-guesser-rows": (
         ["sandbag.sim.play_guesser"],
         lambda v: ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "3",
@@ -515,6 +524,15 @@ _CAPS = {
         lambda v: ("solve", "--alpha", "1", "--beta", str(v), "--m", "1", "--delta", "0.5"),
         WORD_LIMIT,
         WORD_LIMIT + 1,
+    ),
+    # h^inf from Beta(1, m + t), 0 <= t < m, at cutoff 1/(m+1) has m - t + 1
+    # head actions and a cycle of m + 1, so 2*m + 2 - t; delta is above z(m)
+    "solve-hinf-word": (
+        ["sandbag.strategy._infinite_parts"],
+        lambda v: ("solve", "--alpha", "1", "--beta", str(v), "--m", str(WORD_LIMIT // 2),
+                   "--delta", "0.999999999999"),
+        WORD_LIMIT // 2 + 2,
+        WORD_LIMIT // 2 + 1,
     ),
     # two long words: h^1 and h^inf from Beta(1, b) at cutoff 1/3 print b + 3
     # actions for odd b and b + 5 for even b
@@ -572,6 +590,20 @@ def test_enumerate_cap_inputs_total_their_bounds():
     for case in ("enumerate-word", "enumerate-cycle"):
         _, _, at, over = _CAPS[case]
         assert (_enumerate_total(*at), _enumerate_total(*over)) == (WORD_LIMIT, WORD_LIMIT + 1)
+
+
+def test_solve_counts_each_word_from_the_walk(monkeypatch):
+    # the count that solve checks before building equals the built word's
+    for alpha, beta, num, den in _boundary_priors(7):
+        c = Threshold(num, den)
+        for i in (1, 2, 3, math.inf):
+            x = frontier_strategy(alpha, beta, c, i)
+            n = sum(k for _, k in x.prefix_runs + (x.cycle_runs or ()))
+            monkeypatch.setattr(cli, "WORD_LIMIT", n)
+            cli._check_word(alpha, beta, c, i)
+            monkeypatch.setattr(cli, "WORD_LIMIT", n - 1)
+            with pytest.raises(cli.LimitExceededError, match=f"strategy word has {n} actions"):
+                cli._check_word(alpha, beta, c, i)
 
 
 @pytest.mark.parametrize("case", _CAPS)

@@ -1,8 +1,8 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
 one module deciding whether a prior starts within the cutoff, one walk for
 the frontier family, enumerate printing its words without a Strategy, one
-base for the checked value types, one Strategy constructor, and each CLI
-command importing only the modules it runs."""
+slotted base for the checked value types, one Strategy constructor, and each
+CLI command importing only the modules it runs."""
 
 import ast
 import contextlib
@@ -124,6 +124,24 @@ def test_checked_types_share_the_belief_base():
         assert len(bases[name]) == 1 and bases[name][0].startswith(f"checked('{name}', "), name
     shells = {name for name, b in bases.items() if b == ["NamedTuple"]}
     assert not [name for name, b in bases.items() if shells.intersection(b)]
+
+
+def test_checked_types_are_slotted_values():
+    """Each checked type sets ``__slots__ = ()``, so its fields are its only
+    state and no instance has a ``__dict__`` to cache anything in."""
+    from sandbag import Action, BeliefState, GuesserConfig, ProblemInstance, Strategy, Threshold
+
+    samples = [
+        Threshold(1, 2),
+        BeliefState(1, 3),
+        ProblemInstance(1, 3, 1, 0.5),
+        GuesserConfig(0.5, 1),
+        Strategy([(Action.SUCCESS, 2)], [(Action.FAILURE, 1), (Action.SUCCESS, 1)]),
+    ]
+    for x in samples:
+        name = type(x).__name__
+        assert vars(type(x)).get("__slots__") == (), name
+        assert not hasattr(x, "__dict__"), name
 
 
 def test_strategy_has_one_constructor():

@@ -217,7 +217,12 @@ class TestRunForm:
         with pytest.raises(ValueError):
             Strategy(prefix, cycle)
 
-    def test_actions_stream_without_expanding(self):
+    def test_actions_stream_without_expanding(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("per-action tuple built")
+
+        for name in ("prefix", "cycle"):
+            monkeypatch.setattr(Strategy, name, property(fail))
         x = Strategy([(S, 10**9)], [(F, 1), (S, 1)])
         assert "".join(a.value for a in x.actions(limit=3)) == "sss"
-        assert "prefix" not in vars(x)  # the lazy tuple was never built
+        assert "".join(a.value for a in Strategy([(F, 2)], [(S, 1)]).actions(limit=4)) == "ffss"

@@ -25,6 +25,7 @@ from sandbag import (
     dp_value,
     exhaustive_best,
     frontier_payoff,
+    frontier_strategy,
     parse_strategy,
     payoff,
     play_guesser,
@@ -93,12 +94,20 @@ def test_fields_are_read_only(value, text):
         value.extra = 1
 
 
-def test_strategy_keeps_its_cached_expansions():
+def test_strategy_expansions_are_read_only():
     x = parse_strategy("ssfs(fs)*")
     assert x.prefix == (S, S, F, S) and x.cycle == (F, S)
     with pytest.raises(AttributeError):
         x.prefix = ()
     assert x.prefix == (S, S, F, S)
+
+
+def test_strategy_pickles_the_same_after_its_expansions_are_read():
+    # h^1 of Beta(1, 10^6) at cutoff 1/2 is one run of 10^6 successes
+    for x in (parse_strategy("ssfs(fs)*"), frontier_strategy(1, 10**6, Threshold(1, 2), 1)):
+        before = pickle.dumps(x)
+        assert len(x.prefix) == sum(n for _, n in x.prefix_runs) and x.cycle in ((F, S), None)
+        assert pickle.dumps(x) == before and pickle.dumps(copy.deepcopy(x)) == before
 
 
 @pytest.mark.parametrize("text", ["ssfss", "ssfs(fs)*"])
