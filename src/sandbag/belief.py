@@ -174,12 +174,13 @@ class BeliefState(checked("BeliefState", "alpha0 beta0 successes failures")):
         return Fraction(a, a + b)
 
     def update(self, outcome: Action) -> "BeliefState":
-        """New state after observing one outcome."""
-        if outcome is Action.SUCCESS or outcome == Action.SUCCESS.value:
+        """New state after observing one outcome. Any outcome but an
+        ``Action`` is refused, the text "s" too, as in ``Threshold.step``."""
+        if outcome is Action.SUCCESS:
             return BeliefState(self.alpha0, self.beta0, self.successes + 1, self.failures)
-        if outcome is Action.FAILURE or outcome == Action.FAILURE.value:
+        if outcome is Action.FAILURE:
             return BeliefState(self.alpha0, self.beta0, self.successes, self.failures + 1)
-        raise ValueError(f"unknown outcome: {outcome!r}")
+        raise ValueError(f"outcome must be an Action, got {outcome!r}")
 
     def within_threshold(self, c: Threshold) -> bool:
         """True while the monitor keeps playing: posterior mean <= c.

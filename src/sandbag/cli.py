@@ -34,9 +34,9 @@ import sys
 from typing import Any, Sequence
 
 from . import __version__
-from .belief import LimitExceededError, Threshold
-from .payoff import breakeven_discount, payoff
-from .solver import OptimalKind, ProblemInstance, classify
+from .belief import LimitExceededError, Threshold, split_slack
+from .payoff import breakeven_discount, frontier_value, payoff
+from .solver import OptimalKind, ProblemInstance, classify, regime, root_pair
 from .strategy import format_strategy, frontier_strategy, parse_strategy
 from .strategy import _infinite_parts, _opportunities
 
@@ -297,6 +297,12 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
     # the point count before any point is classified
     points = (args.delta_max - args.delta_min + 2e-12) / args.step + 1
     _check_rows("the sweep grid", points)
+    # one setup per grid: (q, k), the roots and the delta check hold for every
+    # point, since each is at least round(delta_min, 12) and at most delta_max
+    q, k = split_slack(args.alpha, args.beta, args.m)
+    if round(args.delta_min, 12) <= 0.0:
+        raise ValueError("--delta-min must stay positive when rounded to 12 decimals")
+    z_low, z_high = root_pair(args.m, k)
     rows = []
     for i in range(int(points)):
         # index-based grid avoids compounding float error across steps; the
@@ -305,20 +311,14 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
         if delta > args.delta_max + 1e-12:
             break
         d = min(delta, args.delta_max)
-        inst = ProblemInstance(args.alpha, args.beta, args.m, d)
-        res = classify(inst)
-        if res.kind is OptimalKind.UNIQUE:
-            regime = index_label(res.members[0])
-        else:
-            regime = "tie"
-        best = max(res.payoffs.values())
+        kind, members = regime(d, z_low, z_high, k, 1e-9)  # classify's default band
         rows.append(
             {
                 "delta": d,
-                "regime": regime,
-                "best_payoff": best,
-                "z_low": res.z_low,
-                "z_high": res.z_high,
+                "regime": index_label(members[0]) if kind is OptimalKind.UNIQUE else "tie",
+                "best_payoff": max([frontier_value(q, k, args.m, j, d) for j in members]),
+                "z_low": z_low,
+                "z_high": z_high,
             }
         )
     return {"rows": rows}, rows

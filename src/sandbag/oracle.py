@@ -112,7 +112,9 @@ def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) 
 
     Layers are indexed by periods used; within a layer the state is the
     success count. Matches exhaustive_best bit for bit on overlapping
-    horizons. Guarded at horizon <= 500.
+    horizons: each state takes 1.0 + delta*v or delta*v' as the tree walk
+    does, and ``s if s >= f else f`` is the float ``max(s, f)`` gives, as
+    no value is NaN. Guarded at horizon <= 500.
     """
     _check_horizon(horizon)
     if horizon > DP_LIMIT:
@@ -125,10 +127,10 @@ def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) 
         # one more success from (ns, used - ns) leaves slack
         # slack0 + num*(used - ns) - short*(ns + 1), within iff ns <= last
         last = (slack0 + c.num * used - short) // c.den
-        values = [
-            max(1.0 + delta * values[ns + 1] if ns <= last else 1.0, delta * values[ns])
-            for ns in range(used + 1)
-        ]
+        cut = min(max(last + 1, 0), used + 1)  # states below cut keep playing on a success
+        dv = [delta * v for v in values]
+        values = [s if (s := 1.0 + dv[ns + 1]) >= (f := dv[ns]) else f for ns in range(cut)]
+        values += [1.0 if 1.0 >= f else f for f in dv[cut : used + 1]]
     return values[0]
 
 

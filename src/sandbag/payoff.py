@@ -110,11 +110,17 @@ def frontier_payoff(
     member h^i (i >= 2) earns its successes at periods 1..q, then at
     P + (m+1)*j for j = 0..i-2 with P = q + (m-k) + 1, then crosses one
     period after the last of those. h^1 stops at period q + 1; h^inf
-    keeps the periodic earnings forever.
+    keeps the periodic earnings forever. The checks are here; the sum is
+    ``frontier_value``'s, which a caller that has (q, k) can price with.
     """
     check_index(index)
     check_delta(delta)
     q, k = split_slack(alpha0, beta0, m)
+    return frontier_value(q, k, m, index, delta)
+
+
+def frontier_value(q: int, k: int, m: int, index: FamilyIndex, delta: float) -> float:
+    """``frontier_payoff``'s closed form from ``split_slack``'s (q, k), unchecked."""
     log_delta = _log(delta)
     if index == 1:
         return _geometric(log_delta, q + 1)

@@ -13,6 +13,12 @@ of delta**n + delta**(n+1) - 1 for the relevant n, so the optimum is
 
 with ties exactly at the roots. When k = 0 the two roots coincide and
 the whole family ties there at once.
+
+The rule has one home: ``root_pair`` gives (z_low, z_high) for (m, k) and
+``regime`` places delta against them, and ``classify`` and the CLI's
+``sweep`` both call these two; each member is priced by
+``payoff.frontier_value``, the closed form behind ``frontier_payoff``.
+A sweep therefore finds (q, k) and the roots once per grid.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .belief import Threshold, check_tol, checked, is_real, split_slack
-from .payoff import breakeven_discount, frontier_payoff, payoff
+from .payoff import breakeven_discount, frontier_value, payoff
 from .strategy import FamilyIndex, frontier_strategy
 
 
@@ -82,6 +88,30 @@ class OptimalSet(NamedTuple):
         return index == math.inf or index >= lowest
 
 
+def root_pair(m: int, k: int) -> tuple[float, float]:
+    """(z_low, z_high) = (z(m-k), z(m)) for ``split_slack``'s k; equal when k = 0."""
+    z_high = breakeven_discount(m).z
+    return (breakeven_discount(m - k).z if k >= 1 else z_high), z_high
+
+
+def regime(
+    delta: float, z_low: float, z_high: float, k: int, tie_tol: float
+) -> tuple[OptimalKind, tuple[FamilyIndex, ...]]:
+    """The optimal kind and representative members at ``delta``, given the
+    roots and k; a delta within ``tie_tol`` of a root (inclusive) ties."""
+    if abs(delta - z_low) <= tie_tol:
+        if k == 0:
+            return OptimalKind.TIE_ALL, (1, 2, math.inf)
+        return OptimalKind.TIE_LOW, (1, 2)
+    if abs(delta - z_high) <= tie_tol:
+        return OptimalKind.TIE_HIGH, (2, 3, math.inf)
+    if delta < z_low:
+        return OptimalKind.UNIQUE, (1,)
+    if delta < z_high:
+        return OptimalKind.UNIQUE, (2,)
+    return OptimalKind.UNIQUE, (math.inf,)
+
+
 def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
     """Place delta against the breakeven roots and return the optimal set.
 
@@ -89,28 +119,11 @@ def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
     as an exact tie; the roots themselves are computed to 1e-12.
     """
     check_tol(tie_tol, "tie_tol")
-    _, k = split_slack(inst.alpha0, inst.beta0, inst.m)
-    z_high = breakeven_discount(inst.m).z
-    z_low = breakeven_discount(inst.m - k).z if k >= 1 else z_high
-
-    def build(kind: OptimalKind, members: tuple[FamilyIndex, ...]) -> OptimalSet:
-        pay = {
-            i: frontier_payoff(inst.alpha0, inst.beta0, inst.m, i, inst.delta)
-            for i in members
-        }
-        return OptimalSet(kind, members, z_low, z_high, pay)
-
-    if abs(inst.delta - z_low) <= tie_tol:
-        if k == 0:
-            return build(OptimalKind.TIE_ALL, (1, 2, math.inf))
-        return build(OptimalKind.TIE_LOW, (1, 2))
-    if abs(inst.delta - z_high) <= tie_tol:
-        return build(OptimalKind.TIE_HIGH, (2, 3, math.inf))
-    if inst.delta < z_low:
-        return build(OptimalKind.UNIQUE, (1,))
-    if inst.delta < z_high:
-        return build(OptimalKind.UNIQUE, (2,))
-    return build(OptimalKind.UNIQUE, (math.inf,))
+    q, k = split_slack(inst.alpha0, inst.beta0, inst.m)
+    z_low, z_high = root_pair(inst.m, k)
+    kind, members = regime(inst.delta, z_low, z_high, k, tie_tol)
+    pay = {i: frontier_value(q, k, inst.m, i, inst.delta) for i in members}
+    return OptimalSet(kind, members, z_low, z_high, pay)
 
 
 class OrderingReport(NamedTuple):

@@ -77,8 +77,10 @@ class TestBeliefState:
         assert sf == fs
 
     def test_update_rejects_junk(self):
-        with pytest.raises(ValueError):
-            BeliefState(1, 3).update("x")
+        # the text "s" and "f" too, as Threshold.step and Strategy refuse it
+        for outcome in ("x", "s", "f", None):
+            with pytest.raises(ValueError, match="must be an Action"):
+                BeliefState(1, 3).update(outcome)
 
     @pytest.mark.parametrize("alpha0,beta0", [(0, 3), (1, 0), (-1, 2)])
     def test_rejects_bad_prior(self, alpha0, beta0):

@@ -14,7 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandbag import Action, Threshold, cli, format_strategy, frontier_strategy
+from sandbag import (
+    Action,
+    OptimalKind,
+    ProblemInstance,
+    Threshold,
+    breakeven_discount,
+    classify,
+    cli,
+    format_strategy,
+    frontier_strategy,
+)
 from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
 from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT
 
@@ -382,6 +392,114 @@ class TestSweep:
             "--delta-min", "0.1", "--delta-max", "0.5", "--step", "1e-9",
         )
         assert code == EXIT_LIMIT and "limit" in err and out == ""
+
+    def test_delta_min_rounding_to_zero_names_the_flag(self, capsys):
+        # every grid point is rounded to 12 decimals, so 1e-13 would give delta 0.0
+        code, out, err = run(
+            capsys, "sweep", "--alpha", "1", "--beta", "3", "--m", "2",
+            "--delta-min", "1e-13", "--delta-max", "0.5", "--step", "0.1",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --delta-min must stay positive when rounded to 12 decimals\n"
+
+    @pytest.mark.parametrize(
+        "grid, code, message",
+        [
+            (("0.1", "0.5", "1e-9"), EXIT_LIMIT, "limit is 100000"),  # the cap first
+            (("0.1", "0.5", "0.1"), EXIT_USAGE, "prior mean exceeds threshold"),
+            (("1e-13", "0.5", "0.1"), EXIT_USAGE, "prior mean exceeds threshold"),
+            (("0.5", "0.1", "1e-9"), EXIT_USAGE, "--delta-min < --delta-max"),
+            (("0.1", "0.5", "nan"), EXIT_USAGE, "--step"),
+        ],
+    )
+    def test_error_order(self, capsys, grid, code, message):
+        """--step, then the delta range, then the row cap, then the prior and
+        m, then the rounded --delta-min."""
+        lo, hi, step = grid
+        got, out, err = run(
+            capsys, "sweep", "--alpha", "5", "--beta", "3", "--m", "2",
+            "--delta-min", lo, "--delta-max", hi, "--step", step,
+        )
+        assert (got, out) == (code, "") and message in err
+
+    def test_one_setup_per_grid(self, capsys, monkeypatch):
+        """(q, k) and the roots are found once for the whole grid, and no
+        point builds a ProblemInstance or runs classify."""
+        from sandbag import solver
+
+        calls = {"split_slack": 0, "breakeven_discount": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def fail(*args, **kwargs):
+            raise AssertionError("per-point setup in sweep")
+
+        monkeypatch.setattr(cli, "split_slack", counted("split_slack", cli.split_slack))
+        monkeypatch.setattr(
+            solver, "breakeven_discount",
+            counted("breakeven_discount", solver.breakeven_discount),
+        )
+        for name in ("classify", "ProblemInstance"):
+            monkeypatch.setattr(cli, name, fail)
+            monkeypatch.setattr(solver, name, fail)
+        code, out, _ = run(
+            capsys, "sweep", "--alpha", "1", "--beta", "5", "--m", "2",
+            "--delta-min", "0.05", "--delta-max", "0.95", "--step", "0.01",
+        )
+        assert code == EXIT_OK and len(json.loads(out)["result"]["rows"]) == 91
+        assert calls["split_slack"] == 1 and 1 <= calls["breakeven_discount"] <= 2
+
+
+def _sweep_rows(*argv: str) -> list[dict]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["sweep", *argv]) == EXIT_OK
+    return json.loads(buf.getvalue())["result"]["rows"]
+
+
+@st.composite
+def _straddling_sweeps(draw):
+    """A prior and cutoff 1/(m+1), k = 0 about one time in three, and a fine
+    grid centred within 2e-9 of z_low or z_high, so that it crosses the edges
+    of the inclusive 1e-9 tie band."""
+    m = draw(st.integers(1, 8))
+    a = draw(st.integers(1, 4))
+    k = 0 if draw(st.integers(0, 2)) == 0 else draw(st.integers(0, m - 1))
+    b = m * (a + draw(st.integers(0, 4))) + k
+    z_high = breakeven_discount(m).z
+    root = breakeven_discount(m - k).z if draw(st.booleans()) and k else z_high
+    centre = root + draw(st.integers(-2000, 2000)) * 1e-12
+    step = draw(st.integers(1, 500)) * 1e-12
+    points = draw(st.integers(1, 40))
+    lo = round(centre - draw(st.integers(0, points - 1)) * step, 12)
+    hi = lo + (points - 1) * step + 1e-13  # > lo even for one point
+    return a, b, m, lo, hi, step
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)  # about 1.5 s
+@given(_straddling_sweeps())
+def test_sweep_rows_equal_per_point_classify(case):
+    """Each sweep row equals the one built from classify at that point alone."""
+    a, b, m, lo, hi, step = case
+    rows = _sweep_rows(
+        "--alpha", str(a), "--beta", str(b), "--m", str(m),
+        "--delta-min", repr(lo), "--delta-max", repr(hi), "--step", repr(step),
+    )
+    assert rows
+    for row in rows:
+        res = classify(ProblemInstance(a, b, m, row["delta"]))
+        regime = cli.index_label(res.members[0]) if res.kind is OptimalKind.UNIQUE else "tie"
+        assert row == {
+            "delta": row["delta"],
+            "regime": regime,
+            "best_payoff": max(res.payoffs.values()),
+            "z_low": res.z_low,
+            "z_high": res.z_high,
+        }
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Brute-force oracles: tree search, layered DP, value iteration."""
 
 import math
+import random
 
 import pytest
 
@@ -99,6 +100,33 @@ class TestDpValue:
                             a = exhaustive_best(alpha0, beta0, c, delta, horizon).value
                             b = dp_value(alpha0, beta0, c, delta, horizon)
                             assert a == b, (alpha0, beta0, m, delta, horizon)
+
+    def test_matches_per_state_max_reference(self):
+        """Bit for bit equal to the plain recursion, ``max`` taken per state,
+        at general cutoffs, delta 0.0 and horizons past the tree's reach."""
+
+        def reference(alpha0, beta0, c, delta, horizon):
+            slack0 = c.num * beta0 - (c.den - c.num) * alpha0
+            values = [0.0] * (horizon + 1)
+            for used in range(horizon - 1, -1, -1):
+                last = (slack0 + c.num * used - (c.den - c.num)) // c.den
+                values = [
+                    max(1.0 + delta * values[ns + 1] if ns <= last else 1.0, delta * values[ns])
+                    for ns in range(used + 1)
+                ]
+            return values[0]
+
+        rng = random.Random(3)
+        cases = [(1, 3, C_HALF, d, 200) for d in (0.3, 0.8, 0.998)]
+        for _ in range(300):
+            den = rng.randint(2, 9)
+            c = Threshold(rng.randint(1, den - 1), den)
+            alpha0 = rng.randint(1, 4)
+            beta0 = -(-(c.den - c.num) * alpha0 // c.num) + rng.randint(0, 6)
+            delta = rng.choice([0.0, round(rng.random() * 0.999, 3), rng.random() * 0.999])
+            cases.append((alpha0, beta0, c, delta, rng.randint(0, 60)))
+        for case in cases:
+            assert dp_value(*case).hex() == reference(*case).hex(), case
 
     def test_long_horizon_matches_closed_form(self):
         got = dp_value(1, 5, Threshold(1, 3), 0.7, 40)

@@ -1,6 +1,7 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
 one module deciding whether a prior starts within the cutoff, one walk for
-the frontier family, enumerate printing its words without a Strategy, one
+the frontier family, one regime rule and one closed form for its members,
+enumerate printing its words without a Strategy, one
 slotted base for the checked value types, one Strategy constructor, and each
 CLI command importing only the modules it runs."""
 
@@ -68,6 +69,40 @@ def test_only_the_generator_walks_the_family():
                         divisions.add((fn.name, ast.unparse(node.args[1])))
     assert padding == {"_opportunities"}
     assert divisions == {("_opportunities", "short"), ("split_slack", "m")}
+
+
+def test_one_regime_rule_and_one_closed_form():
+    """The tie-band comparisons ``abs(delta - z) <= tie_tol`` sit in
+    ``solver.regime`` alone and the frontier family's closed form (its
+    (m + 1)-period geometric terms) in ``payoff.frontier_value`` alone;
+    ``classify``, ``frontier_payoff`` and ``sweep`` call them."""
+    bands, forms = set(), set()
+    for p in sorted((ROOT / "src" / "sandbag").glob("*.py")):
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.Call)
+                    and ast.unparse(node.left.func) == "abs"
+                    and isinstance(node.left.args[0], ast.BinOp)
+                ):
+                    bands.add(fn.name)
+                elif isinstance(node, ast.BinOp) and ast.unparse(node.left) == "m + 1":
+                    forms.add(fn.name)
+                elif p.name != "payoff.py" and ast.unparse(node) in {"_geometric", "math.expm1"}:
+                    forms.add(fn.name)  # pricing outside payoff.py
+    assert bands == {"regime"}
+    assert forms == {"frontier_value"}
+    calls = {
+        fn.name: {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+        for p in ("solver.py", "payoff.py", "cli.py")
+        for fn in ast.walk(ast.parse((ROOT / "src" / "sandbag" / p).read_text()))
+        if isinstance(fn, ast.FunctionDef)
+    }
+    assert {"regime", "frontier_value"} <= calls["classify"] & calls["_cmd_sweep"]
+    assert "frontier_value" in calls["frontier_payoff"]
 
 
 def test_enumerate_starts_the_walk_once(monkeypatch):
