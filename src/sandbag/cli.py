@@ -5,12 +5,15 @@ version} by default, or flat CSV rows with --format csv. Each handler
 returns its payload and its table, the list of row dicts it reports;
 the CSV columns are fields of those rows, named in one map beside
 ``render``. The JSON text is the same bytes as
-``json.dumps(envelope, indent=2, sort_keys=True)``, with flat parts
-written by the C encoder. Results go to stdout unless --out is given;
-an existing output file is refused without --force.
+``json.dumps(envelope, indent=2, sort_keys=True)``: flat parts are
+written by the C encoder, and a table's rows are filled from one
+template per key set, its constant columns encoded once and each other
+column in one C call. Results go to stdout unless --out is given; an
+existing output file is refused without --force.
 
-Exit codes: 0 success, 2 usage or validation error, 3 input over a
-hard cap, checked before the work starts:
+Exit codes: 0 success, 2 usage or validation error or an --out path
+that cannot be written, 3 input over a hard cap, checked before the
+work starts:
 - more than ROW_LIMIT (100,000) rows: thresholds --n-max, simulate
   --max-periods or a finite simulate --strategy word, sweep grid points;
 - a strategy word longer than WORD_LIMIT (10^7 actions) in solve, counted
@@ -30,6 +33,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 from typing import Any, Sequence
 
@@ -349,18 +353,61 @@ _CSV_COLUMNS = {
 }
 
 
-_SCALARS = (str, int, float, type(None))  # bool is an int
+# exact types: a subclass value takes _dumps's nested path, which prints it alike
+_SCALARS = {str, int, float, bool, type(None)}
+_COLUMN = json.JSONEncoder(separators=("\n", ": "))  # an encoded scalar holds no raw newline
 
 
 def _flat(values) -> bool:
-    return all(isinstance(v, _SCALARS) for v in values)
+    return set(map(type, values)) <= _SCALARS
+
+
+def _column(values: list) -> list[str]:
+    """The JSON text of each value, from one C encoder call."""
+    return _COLUMN.encode(values)[1:-1].split("\n")
+
+
+def _table(rows: Sequence, inner: str) -> list[str] | None:
+    """The text of each row of a table, or None if ``rows`` is not one: a
+    table is a list of non-empty dicts with str keys and scalar values.
+    Each run of rows that share a key set fills one row template. A column
+    holding one object in every row of its run is encoded once, into the
+    template (by identity: ``-0.0 == 0.0`` and ``True == 1`` encode
+    differently); any other column is one ``_column`` call, its texts
+    joined into the template's slots row by row."""
+    if set(map(type, rows)) != {dict} or not all(rows):
+        return None
+    texts = []
+    for keys, run in itertools.groupby(rows, dict.keys):
+        if set(map(type, keys)) != {str}:
+            return None
+        run = list(run)
+        fields, varying = [], []
+        for key in sorted(keys):
+            column = list(map(operator.itemgetter(key), run))
+            if not _flat(column):
+                return None
+            if all(map(operator.is_, column, itertools.repeat(column[0]))):
+                value = json.dumps(column[0])
+            else:
+                value = "\0"  # a slot: encoded keys and values hold no raw NUL
+                varying.append(_column(column))
+            fields.append(f"\n{inner}  {json.dumps(key)}: {value}")
+        literals = ("{" + ",".join(fields) + f"\n{inner}}}").split("\0")
+        parts = [itertools.repeat(literals[0], len(run))]
+        for column, literal in zip(varying, literals[1:]):
+            parts += [column, itertools.repeat(literal, len(run))]
+        texts += map("".join, zip(*parts))
+    return texts
 
 
 def _dumps(obj: Any, pad: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` with ``pad`` after each
     newline. CPython's C encoder runs only without ``indent``, so a flat
-    container, or a list of flat non-empty dicts (a table), is encoded in
-    one C call with the newline and indent in its item separator."""
+    container is encoded in one C call with the newline and indent in its
+    item separator, and a table (a list of flat non-empty dicts with str
+    keys) is filled row by row from templates by ``_table``. Every value is
+    still printed by the C encoder."""
     inner = pad + "  "
     is_dict = isinstance(obj, dict)
     if not (obj and (is_dict or isinstance(obj, (list, tuple)))):
@@ -370,13 +417,8 @@ def _dumps(obj: Any, pad: str = "") -> str:
         return f"{s[0]}\n{inner}{s[1:-1]}\n{pad}{s[-1]}"
     if is_dict and not all(isinstance(k, str) for k in obj):
         return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-    if not is_dict and all(isinstance(r, dict) and r and _flat(r.values()) for r in obj):
-        # "},\n" + row + "{" can only be a row boundary: an encoded string
-        # holds no raw newline, and a flat row holds no nested "}"
-        row = inner + "  "
-        s = json.JSONEncoder(sort_keys=True, separators=(",\n" + row, ": ")).encode(obj)
-        s = s[2:-2].replace(f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
-        return f"[\n{inner}{{\n{row}{s}\n{inner}}}\n{pad}]"
+    if not is_dict and (rows := _table(obj, inner)) is not None:
+        return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]"
     if is_dict:
         parts = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items())]
     else:
@@ -411,12 +453,13 @@ def _write_output(args, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
         return
-    import os
-
-    if os.path.exists(args.out) and not args.force:
-        raise ValueError(f"refusing to overwrite existing file {args.out} (use --force)")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:  # mode "x" refuses an existing file in the same call that opens it
+        with open(args.out, "w" if args.force else "x", encoding="utf-8") as fh:
+            fh.write(text)
+    except FileExistsError:
+        raise ValueError(f"refusing to overwrite existing file {args.out} (use --force)") from None
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

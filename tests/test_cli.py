@@ -766,6 +766,22 @@ class TestOutputHandling:
         assert code == EXIT_OK
         assert json.loads(target.read_text())["command"] == "thresholds"
 
+    @pytest.mark.parametrize(
+        "where, force, message",
+        [
+            ("missing", False, "cannot write --out {path}: No such file or directory"),
+            ("missing", True, "cannot write --out {path}: No such file or directory"),
+            ("directory", False, "refusing to overwrite existing file {path} (use --force)"),
+            ("directory", True, "cannot write --out {path}: Is a directory"),
+        ],
+    )
+    def test_unwritable_path_exits_2(self, capsys, tmp_path, where, force, message):
+        path = str(tmp_path / "no" / "such" / "x.json" if where == "missing" else tmp_path)
+        argv = ["thresholds", "--n-max", "2", "--out", path] + ["--force"] * force
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message.format(path=path)}\n")
+        assert not (tmp_path / "no").exists()
+
     def test_repeated_runs_byte_identical(self, capsys):
         args = ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0.77")
         _, first, _ = run(capsys, *args)
@@ -787,7 +803,8 @@ class TestOutputHandling:
 # The JSON writer: cli._dumps must print exactly what
 # json.dumps(obj, indent=2, sort_keys=True) prints.
 
-_TRICKY = ["},\n      {", "},\n    {", '", "', "}", "{", ": ", ",\n", "\\", "\u00e9\u2028"]
+_TRICKY = ["},\n      {", "},\n    {", '", "', "}", "{", ": ", ",\n", "\\", "\u00e9\u2028",
+           "%", "%s", "%%"]
 _KEYS = st.one_of(st.text(max_size=6), st.sampled_from(_TRICKY))
 _SCALARS = st.one_of(
     st.none(),
@@ -829,6 +846,66 @@ def test_dumps_matches_stdlib_on_edge_shapes(obj):
     assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
+# Tables of many rows sharing a key set: the shape every command prints.
+_CELLS = st.one_of(_SCALARS, st.sampled_from(_TRICKY))
+# equal values that print differently
+_TWINS = st.sampled_from([(True, 1), (False, 0), (-0.0, 0.0), (1, 1.0), (0.0, False)])
+
+
+def _draw_run(draw, keys: list[str]) -> list[dict]:
+    """0-40 rows over keys; each column holds one shared object, equal but
+    distinct objects (a JSON round trip copies a float, str or big int),
+    values drawn per row, or a mix of two equal values that print
+    differently."""
+    n = draw(st.integers(0, 40))
+    columns = []
+    for _ in keys:
+        kind = draw(st.sampled_from(["shared", "equal", "drawn", "twins"]))
+        if kind == "drawn":
+            columns.append(draw(st.lists(_CELLS, min_size=n, max_size=n)))
+        elif kind == "twins":
+            columns.append(draw(st.lists(st.sampled_from(draw(_TWINS)), min_size=n, max_size=n)))
+        else:
+            v = draw(_CELLS)
+            columns.append([v] * n if kind == "shared" else [json.loads(json.dumps(v)) for _ in range(n)])
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+@st.composite
+def _same_key_tables(draw) -> list[dict]:
+    key_sets = st.lists(_KEYS, min_size=1, max_size=4, unique=True)
+    first = draw(key_sets)
+    table = _draw_run(draw, first)
+    if draw(st.booleans()):
+        table += _draw_run(draw, draw(key_sets.filter(lambda ks: set(ks) != set(first))))
+    return table
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_same_key_tables())
+def test_dumps_matches_stdlib_on_same_key_tables(table):
+    for obj in (table, {"result": {"rows": table}}):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_table_encodes_only_varying_columns_per_row(capsys, monkeypatch):
+    argv = ("sweep", "--alpha", "2", "--beta", "37", "--m", "3", "--delta-min", "0.01",
+            "--delta-max", "0.99", "--step", "0.001")
+    _, expected, _ = run(capsys, *argv)
+    columns, builds = [], []
+    encode_column, make_encoder = cli._column, json.encoder.c_make_encoder
+    monkeypatch.setattr(cli, "_column", lambda values: columns.append(values) or encode_column(values))
+    monkeypatch.setattr(json.encoder, "c_make_encoder",
+                        lambda *args: builds.append(args) or make_encoder(*args))
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out == expected
+    rows = json.loads(out)["result"]["rows"]
+    assert len(rows) == 981 and len({r["regime"] for r in rows}) > 1
+    # delta, regime and best_payoff vary; z_low and z_high are one object each
+    assert [len(c) for c in columns] == [981] * 3
+    assert len(builds) < 20  # every C encoder call: none per row
+
+
 _ENVELOPE_ARGVS = [
     ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0.5"),
     ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0.6180339887"),
@@ -856,6 +933,18 @@ _ENVELOPE_ARGVS = [
      "--delta-max", "0.8", "--step", "0.05"),
     ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0.3",
      "--delta-max", "0.31", "--step", "0.05"),
+    # big tables: a 981-row sweep, a mixed-key enumerate (h^1..h^2000 with
+    # four keys, then h^inf with six), 10,000 periods whose bool column is
+    # all False, 4,141 periods whose last one crosses, and 200 roots
+    ("sweep", "--alpha", "2", "--beta", "37", "--m", "3", "--delta-min", "0.01",
+     "--delta-max", "0.99", "--step", "0.001"),
+    ("enumerate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+     "--max-index", "2000"),
+    ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+     "--guesser-p", "0.3", "--seed", "11", "--max-periods", "10000"),
+    ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+     "--guesser-p", "0.5", "--seed", "34", "--max-periods", "10000"),
+    ("thresholds", "--n-max", "200"),
 ]
 
 
