@@ -17,7 +17,7 @@ work starts:
 - more than ROW_LIMIT (100,000) rows: thresholds --n-max, simulate
   --max-periods or a finite simulate --strategy word, sweep grid points;
 - a strategy word longer than WORD_LIMIT (10^7 actions) in solve, counted
-  from the walk before any word is built;
+  from the member's runs before its text is built;
 - more than WORD_LIMIT actions in all of enumerate's words, h^1..h^N and
   h^inf, summed from the walk before any word is built; as h^i has at
   least i actions and h^inf's cycle den, this bounds rows and --c-den too;
@@ -54,21 +54,6 @@ WORD_LIMIT = 10**7  # most actions in one strategy word a command may print
 def _check_rows(what: str, rows: float) -> None:
     if rows > ROW_LIMIT:
         raise LimitExceededError(f"{what} would give {rows:.6g} rows, limit is {ROW_LIMIT}")
-
-
-def _check_word(alpha: int, beta: int, c: Threshold, index) -> None:
-    """Refuse h^index's word over WORD_LIMIT actions, counted from the walk
-    as enumerate counts it: h^i has pos + free + 1, h^inf its first block's
-    free + pad + 1 and then den."""
-    blocks = _opportunities(alpha, beta, c)
-    if index == math.inf:
-        _, free, pad = next(blocks)
-        actions = free + pad + 1 + c.den
-    else:
-        pos, free, _ = next(itertools.islice(blocks, index - 1, None))
-        actions = pos + free + 1
-    if actions > WORD_LIMIT:
-        raise LimitExceededError(f"strategy word has {actions} actions, limit is {WORD_LIMIT}")
 
 
 def index_label(index) -> str:
@@ -158,19 +143,23 @@ Table = list[dict[str, Any]]
 def _cmd_solve(args) -> tuple[dict[str, Any], Table]:
     inst = ProblemInstance(args.alpha, args.beta, args.m, args.delta)
     result = classify(inst, tie_tol=args.tie_tol)
-    c = inst.threshold
-    for i in result.members:  # before any word is built
-        _check_word(args.alpha, args.beta, c, i)
+    # the members are among h^1, h^2, h^3 and h^inf, each built from at most
+    # three blocks of the walk at the cutoff 1/(m+1); only their text is long
+    members = [frontier_strategy(args.alpha, args.beta, inst.threshold, i) for i in result.members]
+    for x in members:
+        actions = sum(n for _, n in x.prefix_runs + (x.cycle_runs or ()))
+        if actions > WORD_LIMIT:
+            raise LimitExceededError(f"strategy word has {actions} actions, limit is {WORD_LIMIT}")
     rows = [
         {
             "kind": result.kind.value,
             "index": index_label(i),
-            "strategy": format_strategy(frontier_strategy(args.alpha, args.beta, c, i)),
+            "strategy": format_strategy(x),
             "payoff": result.payoffs[i],
             "z_low": result.z_low,
             "z_high": result.z_high,
         }
-        for i in result.members
+        for i, x in zip(result.members, members)
     ]
     payload = {
         "kind": result.kind.value,
@@ -200,7 +189,8 @@ def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
                                      f"limit is {WORD_LIMIT}")
         if len(blocks) == args.max_index:
             break
-    free, pad, cycle = _infinite_parts(itertools.chain(blocks, walk), c)
+    free, pad, counts = _infinite_parts(itertools.chain(blocks, walk), c)
+    cycle = "".join(map(operator.mul, itertools.cycle("sf"), counts))
     h_inf = {"index": "hinf", "strategy": f"{'s' * free}{'f' * pad}s({cycle})*", "length": None,
              "prefix_successes": free + 1, "cycle_length": c.den, "cycle_successes": c.num}
     entries: Table = []

@@ -9,10 +9,10 @@ words and ``"ssfs(fs)*"`` for infinite ones.
 A schedule is stored as runs, ``((action, count), ...)`` for the prefix
 and for the cycle, so a block of 10^5 free successes costs one entry.
 ``Strategy(prefix_runs, cycle_runs)`` is the only constructor, and
-``_runs`` turns a word's text into runs for ``parse_strategy`` and for
-h^inf's cycle. The feasibility and greedy checks here, and pricing in
-``payoff``, work run by run; the per-action tuples ``prefix`` and
-``cycle`` are expanded on each read and never stored.
+``_runs`` turns a word's text into runs for ``parse_strategy``. The
+feasibility and greedy checks here, and pricing in ``payoff``, work run
+by run; the per-action tuples ``prefix`` and ``cycle`` are expanded on
+each read and never stored.
 
 The frontier family h^1, h^2, ..., h^inf enumerates the schedules that
 hug the suspicion boundary: succeed whenever the posterior stays within
@@ -22,8 +22,9 @@ infinite member). The generator ``_opportunities`` is the family's only
 walk: ``frontier_strategy`` reads it for each member, and the
 ``enumerate`` command reads it once for the whole table. h^inf is a head
 and then exactly den actions repeated; ``_infinite_parts`` alone reads
-that off the walk, as the head's counts and the cycle's text, which
-``frontier_strategy`` turns into runs and ``enumerate`` prints.
+that off the walk, as the head's counts and the cycle's run lengths,
+which ``frontier_strategy`` pairs with their actions and ``enumerate``
+prints.
 """
 
 from __future__ import annotations
@@ -278,22 +279,28 @@ def _opportunities(alpha0: int, beta0: int, c: Threshold) -> Iterator[tuple[int,
         slack += pad * c.num
 
 
-def _infinite_parts(blocks: Iterator[tuple[int, int, int]], c: Threshold) -> tuple[int, int, str]:
+def _infinite_parts(blocks: Iterator[tuple[int, int, int]], c: Threshold) -> tuple[int, int, list]:
     """h^inf from the walk's blocks, read from the first, as (free, pad,
-    cycle): its head is the first block's free successes and padding (at
+    counts): its head is the first block's free successes and padding (at
     least one failure, as slack < short at an opportunity) and then the
-    next block's first success, and its cycle is the den actions after
-    that. From there on the slack stays in [0, den) and each period adds
-    num mod den; the cutoff is reduced, so num and den are coprime and the
-    word repeats after exactly den periods, num of them successes."""
-    _, free1, pad1 = next(blocks)
-    parts: list[str] = []  # the word after the first block, the head's last success first
-    length = 0
-    for _, free, pad in blocks:
-        parts += ("s" * free, "f" * pad)
-        length += free + pad
-        if length > c.den:
-            return free1, pad1, "".join(parts)[1 : c.den + 1]
+    next block's first success; its cycle is the den actions after that,
+    as run lengths alternating successes and failures, successes first
+    (the first may be 0). From the first opportunity on, the slack stays
+    in [0, den) and each period adds num mod den; num and den are coprime,
+    so the word repeats after exactly den periods, num of them successes,
+    and the cycle ends as the head does, on a success."""
+    _, free, pad = next(blocks)
+    counts: list[int] = []
+    length = -1  # the next block's first success ends the head
+    for _, s, f in blocks:
+        counts += (s, f)
+        length += s + f
+        if length >= c.den:
+            break
+    # past den: the last block's padding and some of its free successes
+    counts[-2:] = [counts[-2] + counts[-1] - (length - c.den)]
+    counts[0] -= 1
+    return free, pad, counts
 
 
 def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex) -> Strategy:
@@ -310,9 +317,9 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     check_index(index)
     blocks = _opportunities(alpha0, beta0, c)
     if index == math.inf:
-        free, pad, cycle = _infinite_parts(blocks, c)
+        free, pad, counts = _infinite_parts(blocks, c)
         head = [(Action.SUCCESS, free), (Action.FAILURE, pad), (Action.SUCCESS, 1)]
-        return Strategy(head, _runs(cycle))
+        return Strategy(head, zip(itertools.cycle((Action.SUCCESS, Action.FAILURE)), counts))
     runs: list[Run] = []
     for _, free, pad in itertools.islice(blocks, index - 1):
         runs += [(Action.SUCCESS, free), (Action.FAILURE, pad)]

@@ -25,8 +25,10 @@ from sandbag import (
     format_strategy,
     frontier_strategy,
 )
+from sandbag.belief import split_slack
 from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
 from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT
+from sandbag.solver import root_pair
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -159,7 +161,7 @@ class TestEnumerate:
                     assert main(argv) == 0
 
     def test_infinite_row_equals_the_library_member(self):
-        # enumerate formats h^inf from the walk's head counts and cycle text;
+        # enumerate formats h^inf from the walk's head counts and cycle runs;
         # it must print what frontier_strategy builds and format_strategy writes
         for alpha, beta, num, den in [*_boundary_priors(40), (1, 2, 50001, 100003)]:
             args = argparse.Namespace(alpha=alpha, beta=beta, c_num=num, c_den=den, max_index=1)
@@ -256,6 +258,23 @@ class TestOracle:
 def test_nonfinite_tolerance_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and "finite" in err and out == ""
+
+
+_PRIOR_CUTOFF = ("--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("enumerate", *_PRIOR_CUTOFF, "--max-index", "0"), "--max-index must be at least 1"),
+        (("thresholds", "--n-max", "0"), "--n-max must be at least 1"),
+        *[(("oracle", *_PRIOR_CUTOFF, "--delta", "0.5", "--mode", mode, "--horizon", "-1"),
+           "horizon must be nonnegative") for mode in ("dp", "exhaustive")],
+    ],
+)
+def test_count_below_its_range_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 class TestThresholds:
@@ -646,7 +665,7 @@ _CAPS = {
     # h^inf from Beta(1, m + t), 0 <= t < m, at cutoff 1/(m+1) has m - t + 1
     # head actions and a cycle of m + 1, so 2*m + 2 - t; delta is above z(m)
     "solve-hinf-word": (
-        ["sandbag.strategy._infinite_parts"],
+        ["sandbag.cli.format_strategy"],
         lambda v: ("solve", "--alpha", "1", "--beta", str(v), "--m", str(WORD_LIMIT // 2),
                    "--delta", "0.999999999999"),
         WORD_LIMIT // 2 + 2,
@@ -710,18 +729,25 @@ def test_enumerate_cap_inputs_total_their_bounds():
         assert (_enumerate_total(*at), _enumerate_total(*over)) == (WORD_LIMIT, WORD_LIMIT + 1)
 
 
-def test_solve_counts_each_word_from_the_walk(monkeypatch):
-    # the count that solve checks before building equals the built word's
+def test_solve_counts_each_word_from_the_walk(capsys, monkeypatch):
+    # the count that solve checks before printing equals the longest printed
+    # word's actions, in every regime and on both roots, where members tie
     for alpha, beta, num, den in _boundary_priors(7):
-        c = Threshold(num, den)
-        for i in (1, 2, 3, math.inf):
-            x = frontier_strategy(alpha, beta, c, i)
-            n = sum(k for _, k in x.prefix_runs + (x.cycle_runs or ()))
-            monkeypatch.setattr(cli, "WORD_LIMIT", n)
-            cli._check_word(alpha, beta, c, i)
-            monkeypatch.setattr(cli, "WORD_LIMIT", n - 1)
-            with pytest.raises(cli.LimitExceededError, match=f"strategy word has {n} actions"):
-                cli._check_word(alpha, beta, c, i)
+        if num != 1:
+            continue
+        m = den - 1
+        z_low, z_high = root_pair(m, split_slack(alpha, beta, m)[1])
+        for delta in (z_low / 2, (z_low + z_high) / 2, (1 + z_high) / 2, z_low, z_high):
+            argv = ("solve", "--alpha", str(alpha), "--beta", str(beta), "--m", str(m),
+                    "--delta", repr(delta))
+            words = json.loads(run(capsys, *argv)[1])["result"]["members"]
+            n = max(len(w.replace("(", "").replace(")*", "")) for w in words)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "WORD_LIMIT", n)
+                assert run(capsys, *argv)[0] == EXIT_OK
+                patch.setattr(cli, "WORD_LIMIT", n - 1)
+                code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_LIMIT, "") and f"strategy word has {n} actions" in err
 
 
 @pytest.mark.parametrize("case", _CAPS)
@@ -840,6 +866,8 @@ def test_dumps_matches_stdlib(obj):
         {"k": (1, 2), "t": ({"a": 1}, {"b": 2})},
         {"outer": {1: [2], 2: {"a": [3]}}},  # non-str keys in a nested dict
         {"flat": {1.5: "x", True: None, 3: -math.inf}},
+        [{1: 2}, {1: 3}],  # not a table: a non-str key
+        [{"a": [1]}, {"a": [2]}],  # not a table: a column of lists
     ],
 )
 def test_dumps_matches_stdlib_on_edge_shapes(obj):

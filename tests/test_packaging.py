@@ -8,6 +8,7 @@ CLI command importing only the modules it runs."""
 import ast
 import contextlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -126,9 +127,33 @@ def test_enumerate_starts_the_walk_once(monkeypatch):
     assert len(starts) == 3  # and one per member built alone
 
 
+def test_solve_starts_the_walk_once_per_member(monkeypatch):
+    """``solve`` builds each member once and counts its word from the runs;
+    no second walk checks the length. The tie at z(m) with k = 1 has three
+    members, h^2, h^3 and h^inf."""
+    from sandbag import cli, strategy
+    from sandbag.solver import root_pair
+
+    starts = []
+    walk = strategy._opportunities
+
+    def counted(*args):
+        starts.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(strategy, "_opportunities", counted)
+    monkeypatch.setattr(cli, "_opportunities", counted)
+    argv = ["solve", "--alpha", "1", "--beta", "5", "--m", "2", "--delta", repr(root_pair(2, 1)[1])]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert json.loads(out.getvalue())["result"]["indices"] == ["h2", "h3", "hinf"]
+    assert starts == [(1, 5, sandbag.Threshold(1, 3))] * 3
+
+
 def test_enumerate_formats_its_words_itself():
-    """``enumerate`` prints h^inf from the walk's head counts and cycle text,
-    with no Strategy in between, and runs are no longer sliced."""
+    """``enumerate`` prints h^inf from the walk's head counts and the cycle's
+    run lengths, with no Strategy in between, and runs are no longer sliced."""
     from sandbag import cli, strategy
 
     tree = ast.parse((ROOT / "src" / "sandbag" / "cli.py").read_text())

@@ -61,6 +61,11 @@ class TestParseFormat:
             parse_strategy("sxf")
         assert err.value.position == 2
 
+    def test_error_position_in_cycle(self):
+        with pytest.raises(StrategyParseError, match="unexpected character 'x' in cycle") as err:
+            parse_strategy("s(sx)*")
+        assert err.value.position == 4
+
     @pytest.mark.parametrize(
         "text", ["", "()*", "ss(", "ss()*", "ss(f)", "ss(f)*x", "(sf)", "*", "ss)f"]
     )
@@ -327,6 +332,37 @@ class TestGeneralCutoffFamily:
                 played.append(action)
                 slack += c.num if action is F else -short
         assert cases == 18332
+
+    def test_cycle_is_the_mechanical_word(self):
+        # An oracle that knows nothing of blocks or padding: once the head is
+        # played, each period adds num to the slack mod den, and a success is
+        # exactly a wrap. So from the slack x0 after the head, letter i of the
+        # cycle is s iff floor((x0 + (i+1)*num)/den) - floor((x0 + i*num)/den) = 1.
+        S, F = Action.SUCCESS, Action.FAILURE
+        rng = random.Random(17)
+        cutoffs = [(num, den) for den in range(2, 61) for num in range(1, den)
+                   if math.gcd(num, den) == 1]
+        for den in rng.sample(range(61, 20_001), 6):
+            num = rng.randrange(1, den)
+            while math.gcd(num, den) != 1:
+                num = rng.randrange(1, den)
+            cutoffs.append((num, den))
+        cases = 0
+        for num, den in cutoffs:
+            c = Threshold(num, den)
+            for alpha0 in (1, rng.randrange(2, 40)):
+                low = -(-(den - num) * alpha0 // num)  # the boundary prior
+                for beta0 in (low, low + 1, low + rng.randrange(2, 3 * den)):
+                    cases += 1
+                    h = frontier_strategy(alpha0, beta0, c, math.inf)
+                    x0 = BeliefState(alpha0, beta0).slack(c)
+                    for action, n in h.prefix_runs:
+                        x0 = c.step(x0, action, n)
+                    assert 0 <= x0 < num, (alpha0, beta0, c)
+                    letters = [(x0 + (i + 1) * num) // den - (x0 + i * num) // den
+                               for i in range(den)]
+                    assert h.cycle == tuple(S if x else F for x in letters), (alpha0, beta0, c)
+        assert cases == 6 * (1101 + 6)  # six priors on each reduced cutoff above
 
     def test_infinite_words_are_pinned(self):
         # SHA-256 of every h^inf word on the grid, one per line, as the
