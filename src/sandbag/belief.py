@@ -77,8 +77,10 @@ class Threshold(checked("Threshold", "num den")):
 
     @classmethod
     def from_m(cls, m: int) -> "Threshold":
-        """Cutoff of the form 1/(m+1) for integer m >= 1."""
-        check_m(m)
+        """Cutoff 1/(m+1), and the one check that the cutoff period m is an
+        int >= 1 (no bool, no 2.0)."""
+        if type(m) is not int or m < 1:
+            raise ValueError("m must be an integer >= 1")
         return cls(1, m + 1)
 
     def step(self, slack: int, outcome: Action, count: int = 1) -> int:
@@ -114,14 +116,15 @@ def _check_prior(alpha0: int, beta0: int) -> None:
         raise ValueError("prior pseudo-counts must be integers >= 1")  # bools too
 
 
-def start_slack(alpha0: int, beta0: int, num: int, den: int) -> int:
-    """``BeliefState.slack`` of the prior Beta(alpha0, beta0) at cutoff num/den,
-    and the one check that the prior starts within it (ValueError if not).
-    For cutoff 1/(m+1) it is m*q + k, q being the free successes that open play."""
+def start_slack(alpha0: int, beta0: int, c: Threshold) -> int:
+    """``BeliefState.slack`` of the prior Beta(alpha0, beta0) at cutoff ``c``,
+    the one door from a prior to a walk's slack: ValueError for a prior beyond
+    the cutoff or a ``c`` that is not a ``Threshold``. For cutoff 1/(m+1) it
+    is m*q + k, q being the free successes that open play."""
     _check_prior(alpha0, beta0)
-    if not 0 < num < den:
-        raise ValueError("threshold must satisfy 0 < num/den < 1")
-    slack = num * beta0 - (den - num) * alpha0
+    if type(c) is not Threshold:
+        raise ValueError(f"cutoff must be a Threshold, got {c!r}")
+    slack = c.num * beta0 - (c.den - c.num) * alpha0
     if slack < 0:
         raise ValueError("prior mean exceeds threshold")
     return slack
@@ -141,16 +144,10 @@ def check_tol(tol: float, name: str, positive: bool = False) -> None:
         raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'} and finite")
 
 
-def check_m(m: int) -> None:
-    """Require the cutoff period m of 1/(m+1) to be an int >= 1 (no bool, no 2.0)."""
-    if type(m) is not int or m < 1:
-        raise ValueError("m must be an integer >= 1")
-
-
 def split_slack(alpha0: int, beta0: int, m: int) -> tuple[int, int]:
-    """(q, k) with ``start_slack`` at cutoff 1/(m+1) equal to m*q + k, 0 <= k < m."""
-    check_m(m)
-    return divmod(start_slack(alpha0, beta0, 1, m + 1), m)
+    """(q, k) with ``start_slack`` at cutoff ``Threshold.from_m(m)`` equal to
+    m*q + k, 0 <= k < m; m and the prior are checked there."""
+    return divmod(start_slack(alpha0, beta0, Threshold.from_m(m)), m)
 
 
 class BeliefState(checked("BeliefState", "alpha0 beta0 successes failures")):

@@ -55,7 +55,7 @@ def exhaustive_best(
             f"exhaustive search is limited to horizon <= {EXHAUSTIVE_LIMIT}"
         )
     check_delta(delta)
-    slack0 = start_slack(alpha0, beta0, c.num, c.den)
+    slack0 = start_slack(alpha0, beta0, c)
     nodes = _tree_nodes(slack0, c, horizon)
     if nodes > EXHAUSTIVE_WORK_LIMIT:
         raise LimitExceededError(
@@ -120,7 +120,7 @@ def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) 
     if horizon > DP_LIMIT:
         raise LimitExceededError(f"dp oracle is limited to horizon <= {DP_LIMIT}")
     check_delta(delta)
-    slack0 = start_slack(alpha0, beta0, c.num, c.den)
+    slack0 = start_slack(alpha0, beta0, c)
     short = c.den - c.num
     values = [0.0] * (horizon + 1)  # layer `horizon`, indexed by successes
     for used in range(horizon - 1, -1, -1):
@@ -149,7 +149,7 @@ def value_iteration(
     """
     check_delta(delta)
     check_tol(tol, "tol", positive=True)
-    slack0 = start_slack(alpha0, beta0, c.num, c.den)
+    slack0 = start_slack(alpha0, beta0, c)
     short = c.den - c.num
     cap = max(slack0, short + c.num - 1) + c.num
     # the first step is 1 and each later one at most delta times the last,

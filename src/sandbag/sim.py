@@ -68,7 +68,7 @@ def _run(
 ) -> Trajectory:
     if delta is not None:
         check_delta(delta)
-    slack = start_slack(alpha0, beta0, c.num, c.den)
+    slack = start_slack(alpha0, beta0, c)
     # the slack automaton of Threshold.step, inlined, plus the posterior counts
     gain, short = c.num, c.den - c.num
     a, b = alpha0, beta0

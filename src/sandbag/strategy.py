@@ -34,7 +34,7 @@ import math
 import re
 from typing import Iterable, Iterator, Union
 
-from .belief import Action, BeliefState, Threshold, checked, start_slack
+from .belief import Action, Threshold, checked, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
@@ -191,13 +191,12 @@ def is_feasible(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> bool:
     """Whether the monitor stays through every period the schedule needs.
 
     Finite schedules may (and for validity must) cross on their final
-    action; every earlier point, including the start, has to stay within
-    the cutoff. Infinite schedules must stay within forever, which is
-    decided exactly from the per-cycle slack drift.
+    action; every earlier point has to stay within the cutoff. Infinite
+    schedules must stay within forever, which is decided exactly from the
+    per-cycle slack drift. The start slack comes from ``start_slack``, so a
+    prior beyond the cutoff gets its ValueError, as everywhere else.
     """
-    slack = BeliefState(alpha0, beta0).slack(c)
-    if slack < 0:
-        return False
+    slack = start_slack(alpha0, beta0, c)
     if x.cycle_runs is None:
         *head, (last, n) = x.prefix_runs
         return _walk(slack, [*head, (last, n - 1)], c) is not None
@@ -216,14 +215,15 @@ def greedy_violations(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> lis
 
     An empty list means the schedule is greedy: it only fails when a
     success would cross. The check is mechanical and does not assume the
-    schedule is feasible. For infinite schedules the scan covers the
+    schedule is feasible, but the prior must start within the cutoff, as
+    ``start_slack`` requires. For infinite schedules the scan covers the
     prefix and first cycle; when the slack drifts upward and that scan
     was clean, the earliest violating position in a later cycle is
     appended, so the result is empty iff no violation exists anywhere.
     """
+    slack = start_slack(alpha0, beta0, c)
     bar = c.den  # flip test: slack after the failure >= den
     out: list[int] = []
-    slack = BeliefState(alpha0, beta0).slack(c)
     pos = 0
     cycle_start = cycle_pos = 0
     fails: list[tuple[int, int, int]] = []  # cycle failure runs: (offset, slack before, length)
@@ -268,7 +268,7 @@ def _opportunities(alpha0: int, beta0: int, c: Threshold) -> Iterator[tuple[int,
     the word length before the block, its free successes, and the fewest
     failures after the opportunity that make the next success affordable.
     The prior is checked when the first block is read."""
-    slack = start_slack(alpha0, beta0, c.num, c.den)
+    slack = start_slack(alpha0, beta0, c)
     short = c.den - c.num
     pos = 0
     while True:

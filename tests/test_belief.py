@@ -8,14 +8,23 @@ import pytest
 from sandbag import (
     Action,
     BeliefState,
+    GuesserConfig,
     ProblemInstance,
     Threshold,
     breakeven_discount,
     classify,
+    dp_value,
+    exhaustive_best,
+    frontier_strategy,
+    greedy_violations,
+    is_feasible,
+    parse_strategy,
+    play_guesser,
+    play_strategy,
     value_iteration,
     verify_ordering,
 )
-from sandbag.belief import check_delta, start_slack
+from sandbag.belief import check_delta, split_slack, start_slack
 
 
 class TestThreshold:
@@ -27,7 +36,7 @@ class TestThreshold:
         assert Threshold.from_m(1) == Threshold(1, 2)
         assert Threshold.from_m(3) == Threshold(1, 4)
 
-    @pytest.mark.parametrize("num,den", [(0, 2), (2, 2), (3, 2), (-1, 2), (1, 0), (1, -3)])
+    @pytest.mark.parametrize("num,den", [(0, 2), (1, 1), (2, 2), (3, 2), (-1, 2), (1, 0), (1, -3)])
     def test_rejects_out_of_range(self, num, den):
         with pytest.raises(ValueError):
             Threshold(num, den)
@@ -181,6 +190,41 @@ def test_tolerance_that_a_float_holds_is_taken(entry):
     assert call(10**300) is not None and call(0.5) is not None
 
 
+# each entry point that takes a cutoff c, called as (alpha0, beta0, c)
+_CUTOFF_ENTRIES = {
+    "frontier_strategy": lambda a, b, c: frontier_strategy(a, b, c, 1),
+    "is_feasible": lambda a, b, c: is_feasible(parse_strategy("ffs"), a, b, c),
+    "greedy_violations": lambda a, b, c: greedy_violations(parse_strategy("ffs"), a, b, c),
+    "exhaustive_best": lambda a, b, c: exhaustive_best(a, b, c, 0.5, 3),
+    "dp_value": lambda a, b, c: dp_value(a, b, c, 0.5, 3),
+    "value_iteration": lambda a, b, c: value_iteration(a, b, c, 0.5),
+    "play_strategy": lambda a, b, c: play_strategy(a, b, c, parse_strategy("ffs")),
+    "play_guesser": lambda a, b, c: play_guesser(a, b, c, GuesserConfig(0.5, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", _CUTOFF_ENTRIES)
+@pytest.mark.parametrize("cutoff", [0.5, (1, 2), "1/2", None], ids=["float", "tuple", "str", "None"])
+def test_cutoff_must_be_a_threshold(entry, cutoff):
+    # refused at start_slack, not by an AttributeError deep in a walk
+    with pytest.raises(ValueError, match="^cutoff must be a Threshold"):
+        _CUTOFF_ENTRIES[entry](1, 3, cutoff)
+
+
+# the same, plus h^inf and the 1/(m+1) split, which reach start_slack too
+_PRIOR_ENTRIES = {
+    **_CUTOFF_ENTRIES,
+    "frontier_strategy_inf": lambda a, b, c: frontier_strategy(a, b, c, math.inf),
+    "split_slack": lambda a, b, c: split_slack(a, b, c.den - 1),
+}
+
+
+@pytest.mark.parametrize("entry", _PRIOR_ENTRIES)
+def test_prior_beyond_the_cutoff_gets_one_answer(entry):
+    with pytest.raises(ValueError, match="^prior mean exceeds threshold$"):
+        _PRIOR_ENTRIES[entry](3, 1, Threshold(1, 2))
+
+
 class TestStartSlack:
     def test_generated_grid(self):
         # every cutoff num/den in lowest terms with den <= 12; m = den - 1
@@ -192,9 +236,9 @@ class TestStartSlack:
                     for beta0 in range(1, 41):
                         if Fraction(alpha0, alpha0 + beta0) > Fraction(num, den):
                             with pytest.raises(ValueError, match="prior mean exceeds threshold"):
-                                start_slack(alpha0, beta0, num, den)
+                                start_slack(alpha0, beta0, c)
                             continue
-                        slack = start_slack(alpha0, beta0, num, den)
+                        slack = start_slack(alpha0, beta0, c)
                         assert slack == BeliefState(alpha0, beta0).slack(c)
                         if num == 1:
                             r, k = divmod(beta0, den - 1)  # beta0 = m*r + k
@@ -205,13 +249,15 @@ class TestStartSlack:
     )
     def test_rejects_bad_pseudo_counts(self, alpha0, beta0):
         with pytest.raises(ValueError, match="pseudo-counts"):
-            start_slack(alpha0, beta0, 1, 2)
+            start_slack(alpha0, beta0, Threshold(1, 2))
 
     @pytest.mark.parametrize("num,den", [(1, 1), (0, 2), (2, 2), (1, 0), (-1, 2)])
     def test_rejects_cutoff_outside_unit_interval(self, num, den):
-        # a 1/(m+1) closed form with m < 1 reaches the gate as one of these
+        # the range rule is Threshold's own; the gate takes no bare terms
         with pytest.raises(ValueError, match="threshold"):
-            start_slack(1, 3, num, den)
+            Threshold(num, den)
+        with pytest.raises(ValueError, match="cutoff must be a Threshold"):
+            start_slack(1, 3, (num, den))
 
     @pytest.mark.parametrize("delta", [-0.1, 1.0, 1.5, math.nan, math.inf, True, "0.5", None])
     def test_check_delta_rejects(self, delta):

@@ -1,5 +1,6 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
-one module deciding whether a prior starts within the cutoff, one walk for
+one module deciding whether a prior starts within the cutoff and one door
+from a prior to a walk's slack, no unused imports, one walk for
 the frontier family, one regime rule and one closed form for its members,
 enumerate printing its words without a Strategy, one
 slotted base for the checked value types, one Strategy constructor, and each
@@ -50,6 +51,56 @@ def test_only_belief_decides_the_prior():
     deciders = [p.name for p in modules if "exceeds threshold" in p.read_text()]
     assert deciders == ["belief.py"]
     assert not hasattr(sandbag.oracle, "_start_slack")
+
+
+def test_one_door_from_a_prior_to_the_slack():
+    """Outside ``belief``, no function builds a ``BeliefState`` or reads a
+    ``.slack``: every walk reads its start slack from
+    ``start_slack(alpha0, beta0, c)``, always called with three arguments.
+    The cutoff's range rule and the m rule each sit in one function."""
+    from sandbag import belief
+
+    owners: dict[str, set] = {"threshold must satisfy": set(), "m must be an integer": set()}
+    for p in sorted((ROOT / "src" / "sandbag").glob("*.py")):
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    call = ast.unparse(node.func)
+                    if p.name != "belief.py":
+                        assert call != "BeliefState" and not call.endswith(".slack"), (p.name, fn.name)
+                    if call == "start_slack":
+                        assert len(node.args) == 3 and not node.keywords, (p.name, fn.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    for text, found in owners.items():
+                        if text in node.value:
+                            found.add((p.name, fn.name))
+    assert owners == {
+        "threshold must satisfy": {("belief.py", "__new__")},
+        "m must be an integer": {("belief.py", "from_m")},
+    }
+    assert not hasattr(belief, "check_m")
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in (ROOT / "src" / "sandbag").glob("*.py") if p.name != "__init__.py"),
+)
+def test_module_uses_every_name_it_imports(module):
+    """The unused-import rule of a linter, in stdlib ``ast``: every name a
+    module imports is read somewhere in it, annotations included (a name
+    read only inside a quoted annotation does not count). ``__init__``
+    re-exports its imports, so it is left out."""
+    tree = ast.parse((ROOT / "src" / "sandbag" / module).read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not imported - read, sorted(imported - read)
 
 
 def test_only_the_generator_walks_the_family():

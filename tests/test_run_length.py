@@ -28,9 +28,7 @@ S, F = Action.SUCCESS, Action.FAILURE
 
 
 def ref_is_feasible(x, alpha0, beta0, c):
-    slack = BeliefState(alpha0, beta0).slack(c)
-    if slack < 0:
-        return False
+    slack = BeliefState(alpha0, beta0).slack(c)  # >= 0: a prior beyond c is refused
     if x.cycle is None:
         for action in x.prefix[:-1]:
             slack = c.step(slack, action)
@@ -139,23 +137,31 @@ def random_word(rng, c, alpha0, beta0):
 def test_matches_per_action_reference():
     rng = random.Random(20241214)
     words = 6000
-    infeasible = violating = later_cycle = 0
+    beyond = infeasible = violating = later_cycle = 0
     for _ in range(words):
         c = random_cutoff(rng)
         alpha0, beta0 = rng.randint(1, 8), rng.randint(1, 60)
         x = random_word(rng, c, alpha0, beta0)
-        feasible = is_feasible(x, alpha0, beta0, c)
-        assert feasible == ref_is_feasible(x, alpha0, beta0, c), (x, alpha0, beta0, c)
-        found = greedy_violations(x, alpha0, beta0, c)
-        assert found == ref_greedy_violations(x, alpha0, beta0, c), (x, alpha0, beta0, c)
+        if BeliefState(alpha0, beta0).slack(c) < 0:
+            # a prior beyond the cutoff gets start_slack's one answer
+            for check in (is_feasible, greedy_violations):
+                with pytest.raises(ValueError, match="prior mean exceeds threshold"):
+                    check(x, alpha0, beta0, c)
+            beyond += 1
+        else:
+            feasible = is_feasible(x, alpha0, beta0, c)
+            assert feasible == ref_is_feasible(x, alpha0, beta0, c), (x, alpha0, beta0, c)
+            found = greedy_violations(x, alpha0, beta0, c)
+            assert found == ref_greedy_violations(x, alpha0, beta0, c), (x, alpha0, beta0, c)
+            infeasible += not feasible
+            violating += bool(found)
+            word_end = len(x.prefix) + (0 if x.cycle is None else len(x.cycle))
+            later_cycle += bool(found) and found[-1] > word_end
         delta = 0.0 if rng.random() < 0.02 else rng.uniform(0.0, 0.999)
         got, want = payoff(x, delta), ref_payoff(x, delta)
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300), (x, delta, got, want)
-        infeasible += not feasible
-        violating += bool(found)
-        word_end = len(x.prefix) + (0 if x.cycle is None else len(x.cycle))
-        later_cycle += bool(found) and found[-1] > word_end
     # the generator must reach every branch, not only the easy ones
+    assert beyond > 0
     assert 1000 < infeasible < words - 1000
     assert 1000 < violating < words - 1000
     assert later_cycle >= 300

@@ -115,7 +115,10 @@ class TestFeasibility:
         assert is_feasible(strat("(fsf)*"), 1, 2, Threshold(2, 5))
 
     def test_prior_already_out(self):
-        assert not is_feasible(strat("s"), 3, 1, C_HALF)
+        # both checks read start_slack, which refuses a prior beyond the cutoff
+        for check in (is_feasible, greedy_violations):
+            with pytest.raises(ValueError, match="prior mean exceeds threshold"):
+                check(strat("ffs"), 3, 1, C_HALF)
 
     def test_midway_violation_in_prefix_of_infinite(self):
         assert not is_feasible(strat("ssss(fs)*"), 1, 3, C_HALF)
@@ -129,12 +132,16 @@ class TestFeasibility:
             c = Threshold(rng.randrange(1, den), den)
             word = "".join(rng.choice("sf") for _ in range(rng.randrange(1, 10)))
             state = BeliefState(a, b)
-            ok = state.within_threshold(c)
+            if not state.within_threshold(c):
+                with pytest.raises(ValueError, match="prior mean exceeds threshold"):
+                    is_feasible(strat(word), a, b, c)
+                continue
+            ok = True
             for ch in word[:-1]:
-                if not ok:
-                    break
                 state = state.update(Action(ch))
                 ok = state.within_threshold(c)
+                if not ok:
+                    break
             assert is_feasible(strat(word), a, b, c) == ok
 
 
