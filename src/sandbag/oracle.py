@@ -4,17 +4,22 @@ These routes know nothing about the frontier family. They optimize over
 every outcome sequence directly, so agreement with the solver is
 evidence, not circularity.
 
-``exhaustive_best`` walks the whole depth-``horizon`` tree recursively.
+``exhaustive_best`` walks the whole depth-``horizon`` tree recursively;
+each node returns its sequence as an (action, rest) pair that shares the
+chosen child's pairs, flattened once at the root.
 ``dp_value`` computes the same backward recursion bottom-up over belief
 states; both evaluate the identical floating point expressions, so
 their values match exactly, not just closely.
 ``value_iteration`` works on the infinite horizon directly, iterating
-the Bellman operator over the finitely many reachable slack states.
+the Bellman operator over the finitely many reachable slack states. It
+reads each state's (success child, failure child) from one table, where
+a crossing success points at an extra slot that always holds 0.0.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .belief import Action, LimitExceededError, Threshold, check_delta, check_tol, start_slack
@@ -50,12 +55,12 @@ def exhaustive_best(
     tree's node count, which must be at most EXHAUSTIVE_WORK_LIMIT.
     """
     _check_horizon(horizon)
+    check_delta(delta)
+    slack0 = start_slack(alpha0, beta0, c)
     if horizon > EXHAUSTIVE_LIMIT:
         raise LimitExceededError(
             f"exhaustive search is limited to horizon <= {EXHAUSTIVE_LIMIT}"
         )
-    check_delta(delta)
-    slack0 = start_slack(alpha0, beta0, c)
     nodes = _tree_nodes(slack0, c, horizon)
     if nodes > EXHAUSTIVE_WORK_LIMIT:
         raise LimitExceededError(
@@ -84,27 +89,36 @@ def _tree_nodes(slack0: int, c: Threshold, horizon: int) -> int:
 def _walk(
     slack0: int, c: Threshold, delta: float, horizon: int
 ) -> tuple[float, tuple[Action, ...]]:
-    """Best value and sequence from ``slack0`` by full tree recursion."""
-    gain, short = c.num, c.den - c.num  # Threshold.step, inlined in the tree walk
+    """Best value and sequence from ``slack0`` by full tree recursion.
 
-    def best(slack: int, periods_left: int) -> tuple[float, tuple[Action, ...]]:
+    Each call returns its sequence as nested (action, rest) pairs, ``None``
+    for the empty one, so a node adds one pair instead of copying its
+    child's sequence; the root's pairs are flattened once.
+    """
+    gain, short = c.num, c.den - c.num  # Threshold.step, inlined in the tree walk
+    success, failure = Action.SUCCESS, Action.FAILURE
+
+    def best(slack: int, periods_left: int) -> tuple[float, tuple | None]:
         if periods_left == 0:
-            return 0.0, ()
+            return 0.0, None
         s_slack = slack - short
         if s_slack >= 0:
-            sub_value, sub_seq = best(s_slack, periods_left - 1)
+            sub_value, s_rest = best(s_slack, periods_left - 1)
             s_value = 1.0 + delta * sub_value
-            s_seq = (Action.SUCCESS, *sub_seq)
         else:
-            s_value = 1.0  # crossing success ends the game
-            s_seq = (Action.SUCCESS,)
-        f_sub_value, f_sub_seq = best(slack + gain, periods_left - 1)
+            s_value, s_rest = 1.0, None  # crossing success ends the game
+        f_sub_value, f_rest = best(slack + gain, periods_left - 1)
         f_value = delta * f_sub_value
         if s_value >= f_value:
-            return s_value, s_seq
-        return f_value, (Action.FAILURE, *f_sub_seq)
+            return s_value, (success, s_rest)
+        return f_value, (failure, f_rest)
 
-    return best(slack0, horizon)
+    value, node = best(slack0, horizon)
+    seq = []
+    while node is not None:
+        action, node = node
+        seq.append(action)
+    return value, tuple(seq)
 
 
 def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) -> float:
@@ -117,10 +131,10 @@ def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) 
     no value is NaN. Guarded at horizon <= 500.
     """
     _check_horizon(horizon)
-    if horizon > DP_LIMIT:
-        raise LimitExceededError(f"dp oracle is limited to horizon <= {DP_LIMIT}")
     check_delta(delta)
     slack0 = start_slack(alpha0, beta0, c)
+    if horizon > DP_LIMIT:
+        raise LimitExceededError(f"dp oracle is limited to horizon <= {DP_LIMIT}")
     short = c.den - c.num
     values = [0.0] * (horizon + 1)  # layer `horizon`, indexed by successes
     for used in range(horizon - 1, -1, -1):
@@ -144,7 +158,10 @@ def value_iteration(
     max(initial slack, band top); optimal play never leaves the cap.
     Stops when the sup-norm step is at most tol*(1-delta), which bounds
     the distance to the fixed point by tol times the discounted tail.
-    Raises LimitExceededError when the state count times the estimated
+    A sweep reads each state's (success child, failure child) from one
+    table built before the first sweep; a crossing success reads the
+    extra slot at cap + 1, which always holds 0.0, so it scores exactly
+    1.0. Raises LimitExceededError when the state count times the estimated
     sweep count is above VI_WORK_LIMIT.
     """
     check_delta(delta)
@@ -163,16 +180,15 @@ def value_iteration(
         raise LimitExceededError(
             f"value iteration needs about {work:.3g} state updates, limit is {VI_WORK_LIMIT}"
         )
-    f_child = [min(s + c.num, cap) for s in range(cap + 1)]
-    w = [0.0] * (cap + 1)
+    # a success from slack below `short` crosses and ends the game
+    children = [(s - short if s >= short else cap + 1, min(s + c.num, cap)) for s in range(cap + 1)]
+    w = [0.0] * (cap + 2)
     stop = tol * (1.0 - delta)
     for _ in range(10_000_000):
-        # a success from slack below `short` crosses and ends the game
-        w_next = [
-            max(1.0 + delta * w[s - short] if s >= short else 1.0, delta * w[f])
-            for s, f in enumerate(f_child)
-        ]
-        if max(abs(a - b) for a, b in zip(w_next, w)) <= stop:
+        # `s if s >= f else f` is the float max(s, f) gives, as no value is NaN
+        w_next = [s if (s := 1.0 + delta * w[i]) >= (f := delta * w[j]) else f for i, j in children]
+        w_next.append(0.0)
+        if max(map(abs, map(operator.sub, w_next, w))) <= stop:
             return w_next[slack0]
         w = w_next
     raise RuntimeError("value iteration failed to converge")

@@ -239,6 +239,22 @@ class TestOracle:
         )
         assert code == EXIT_USAGE and "--horizon" in err
 
+    @pytest.mark.parametrize("mode, horizon", [("exhaustive", "30"), ("dp", "600")])
+    @pytest.mark.parametrize(
+        "prior, delta, message",
+        [
+            (("--alpha", "1", "--beta", "3"), "1.5", "delta must lie in [0, 1)"),
+            (("--alpha", "3", "--beta", "1"), "0.5", "prior mean exceeds threshold"),
+        ],
+    )
+    def test_invalid_input_beats_horizon_cap(self, capsys, mode, horizon, prior, delta, message):
+        # both horizons are over their mode's cap: invalid input exits 2 first
+        code, out, err = run(
+            capsys, "oracle", *prior, "--c-num", "1", "--c-den", "2", "--delta", delta,
+            "--mode", mode, "--horizon", horizon,
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -687,9 +703,10 @@ _CAPS = {
         (WORD_LIMIT // 2, 1, WORD_LIMIT // 2, 1),
         (WORD_LIMIT // 2 + 2, 1, WORD_LIMIT // 2 + 1, 1),
     ),
-    # the Bellman sweep is the first call of the builtin enumerate in oracle.py
+    # value iteration's first call of the builtin min in oracle.py builds its
+    # child table, after the cap check and before the first sweep
     "oracle-vi-work": (
-        ["sandbag.oracle.enumerate"],
+        ["sandbag.oracle.min"],
         lambda v: ("oracle", "--alpha", "1", "--beta", str(v), "--c-num", "1", "--c-den", "2",
                    "--delta", "0.8815", "--mode", "vi"),
         VI_BETA_AT_LIMIT,

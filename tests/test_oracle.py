@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sandbag import (
+    Action,
     LimitExceededError,
     ProblemInstance,
     Threshold,
@@ -22,6 +23,23 @@ C_HALF = Threshold(1, 2)
 
 def seq_text(result) -> str:
     return "".join(a.value for a in result.best_sequence)
+
+
+def _random_cases(rng, n, last):
+    """n (alpha0, beta0, c, delta, last(rng)) with a prior within a cutoff of
+    den <= 9; delta is the int 0, 0.0, -0.0, rounded, random or in [0.99, 0.999]."""
+    cases = []
+    for _ in range(n):
+        den = rng.randint(2, 9)
+        c = Threshold(rng.randint(1, den - 1), den)
+        alpha0 = rng.randint(1, 4)
+        beta0 = -(-(c.den - c.num) * alpha0 // c.num) + rng.randint(0, 6)
+        delta = rng.choice(
+            [0, 0.0, -0.0, round(rng.random() * 0.999, 3), rng.random() * 0.999,
+             rng.uniform(0.99, 0.999)]
+        )
+        cases.append((alpha0, beta0, c, delta, last(rng)))
+    return cases
 
 
 class TestExhaustiveBest:
@@ -75,6 +93,46 @@ class TestExhaustiveBest:
         with pytest.raises(ValueError, match="exceeds threshold"):
             exhaustive_best(3, 1, C_HALF, 0.5, 5)
 
+    def test_matches_tuple_copying_reference(self):
+        """Value bit for bit and sequence equal to the plain recursion that
+        copies each subsequence, at general cutoffs, delta 0 and an exact tie."""
+
+        def reference(alpha0, beta0, c, delta, horizon):
+            gain, short = c.num, c.den - c.num
+
+            def best(slack, periods_left):
+                if periods_left == 0:
+                    return 0.0, ()
+                s_slack = slack - short
+                if s_slack >= 0:
+                    sub_value, sub_seq = best(s_slack, periods_left - 1)
+                    s_value = 1.0 + delta * sub_value
+                    s_seq = (Action.SUCCESS, *sub_seq)
+                else:
+                    s_value = 1.0  # crossing success ends the game
+                    s_seq = (Action.SUCCESS,)
+                f_sub_value, f_sub_seq = best(slack + gain, periods_left - 1)
+                f_value = delta * f_sub_value
+                if s_value >= f_value:
+                    return s_value, s_seq
+                return f_value, (Action.FAILURE, *f_sub_seq)
+
+            return best(c.num * beta0 - (c.den - c.num) * alpha0, horizon)
+
+        # at this delta "s" and "fss" from Beta(2, 1), c = 2/3, both score 1.0
+        cases = [(2, 1, Threshold(2, 3), 0.5436890126920764, h) for h in (1, 4, 9)]
+        cases += [(1, 3, C_HALF, 0.95, 14)]
+        cases += _random_cases(random.Random(5), 250, lambda rng: rng.randint(0, 14))
+        for case in cases:
+            res = exhaustive_best(*case)
+            value, seq = reference(*case)
+            assert (res.value.hex(), res.best_sequence) == (value.hex(), seq), case
+
+    def test_pinned_bits(self):
+        res = exhaustive_best(1, 3, C_HALF, 0.95, 22)
+        assert res.value.hex() == "0x1.e6fc152e3487cp+2"
+        assert seq_text(res) == "ssfsfsfsfsfsfsfsfsfss"
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             exhaustive_best(1, 3, C_HALF, 1.0, 5)
@@ -103,7 +161,7 @@ class TestDpValue:
 
     def test_matches_per_state_max_reference(self):
         """Bit for bit equal to the plain recursion, ``max`` taken per state,
-        at general cutoffs, delta 0.0 and horizons past the tree's reach."""
+        at general cutoffs, delta 0 and horizons past the tree's reach."""
 
         def reference(alpha0, beta0, c, delta, horizon):
             slack0 = c.num * beta0 - (c.den - c.num) * alpha0
@@ -116,15 +174,8 @@ class TestDpValue:
                 ]
             return values[0]
 
-        rng = random.Random(3)
         cases = [(1, 3, C_HALF, d, 200) for d in (0.3, 0.8, 0.998)]
-        for _ in range(300):
-            den = rng.randint(2, 9)
-            c = Threshold(rng.randint(1, den - 1), den)
-            alpha0 = rng.randint(1, 4)
-            beta0 = -(-(c.den - c.num) * alpha0 // c.num) + rng.randint(0, 6)
-            delta = rng.choice([0.0, round(rng.random() * 0.999, 3), rng.random() * 0.999])
-            cases.append((alpha0, beta0, c, delta, rng.randint(0, 60)))
+        cases += _random_cases(random.Random(3), 300, lambda rng: rng.randint(0, 60))
         for case in cases:
             assert dp_value(*case).hex() == reference(*case).hex(), case
 
@@ -194,6 +245,36 @@ class TestValueIteration:
     def test_rejects_high_prior(self):
         with pytest.raises(ValueError, match="exceeds threshold"):
             value_iteration(3, 1, C_HALF, 0.5)
+
+    def test_matches_per_state_max_reference(self):
+        """Bit for bit equal to the sweep that takes ``max`` per state, at
+        general cutoffs, delta 0 (int and float), -0.0 and near 1."""
+
+        def reference(alpha0, beta0, c, delta, tol):
+            slack0 = c.num * beta0 - (c.den - c.num) * alpha0
+            short = c.den - c.num
+            cap = max(slack0, short + c.num - 1) + c.num
+            f_child = [min(s + c.num, cap) for s in range(cap + 1)]
+            w = [0.0] * (cap + 1)
+            stop = tol * (1.0 - delta)
+            for _ in range(10_000_000):
+                w_next = [
+                    max(1.0 + delta * w[s - short] if s >= short else 1.0, delta * w[f])
+                    for s, f in enumerate(f_child)
+                ]
+                if max(abs(a - b) for a, b in zip(w_next, w)) <= stop:
+                    return w_next[slack0]
+                w = w_next
+            raise RuntimeError("value iteration failed to converge")
+
+        cases = [(1, 400, C_HALF, 0.9, 1e-13), (1, 3, C_HALF, 0, 1e-10), (1, 3, C_HALF, -0.0, 1e-6)]
+        cases += _random_cases(random.Random(7), 100, lambda rng: rng.choice([1e-6, 1e-10, 1e-13]))
+        for case in cases:
+            assert value_iteration(*case).hex() == reference(*case).hex(), case
+
+    def test_pinned_bits(self):
+        got = value_iteration(1, 400, C_HALF, 0.9, tol=1e-13)
+        assert got.hex() == "0x1.3ffffffffffe7p+3"  # 9.999999999999956
 
 
 class TestOracleAgainstSolver:
