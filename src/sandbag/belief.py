@@ -104,11 +104,12 @@ class Threshold(checked("Threshold", "num den")):
         return f"{self.num}/{self.den}"
 
 
-def check_delta(delta: float) -> None:
-    """Require 0 <= delta < 1: at delta = 1 an infinite schedule has no
-    finite value, and finite ones are kept under the same contract."""
+def check_delta(delta: float, name: str = "delta") -> None:
+    """Require a real 0 <= delta < 1, the one rule for a discount factor
+    (``name`` names it in the message): at delta = 1 an infinite schedule
+    has no finite value, and finite ones are kept under the same contract."""
     if not (is_real(delta) and 0.0 <= delta < 1.0):
-        raise ValueError("delta must lie in [0, 1)")
+        raise ValueError(f"{name} must lie in [0, 1)")
 
 
 def _check_prior(alpha0: int, beta0: int) -> None:

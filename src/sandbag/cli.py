@@ -38,9 +38,9 @@ import sys
 from typing import Any, Sequence
 
 from . import __version__
-from .belief import LimitExceededError, Threshold, split_slack
-from .payoff import breakeven_discount, frontier_value, payoff
-from .solver import OptimalKind, ProblemInstance, classify, regime, root_pair
+from .belief import LimitExceededError, Threshold, check_delta, check_tol, split_slack
+from .payoff import ROOT_TOL, breakeven_discount, frontier_value, payoff
+from .solver import TIE_TOL, OptimalKind, ProblemInstance, classify, regime, root_pair
 from .strategy import format_strategy, frontier_strategy, parse_strategy
 from .strategy import _infinite_parts, _opportunities
 
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prior_args(p)
     p.add_argument("--m", type=int, required=True, help="cutoff is 1/(m+1)")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--tie-tol", type=float, default=1e-9)
+    p.add_argument("--tie-tol", type=float, default=TIE_TOL)
     _add_output_args(p)
 
     p = sub.add_parser("enumerate", help="list frontier family members")
@@ -108,12 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--mode", choices=("exhaustive", "dp", "vi"), default="dp")
     p.add_argument("--horizon", type=int, help="required for exhaustive and dp modes")
+    # value_iteration's default, written out so that parsing loads no oracle
     p.add_argument("--tol", type=float, default=1e-10, help="vi stopping tolerance")
     _add_output_args(p)
 
     p = sub.add_parser("thresholds", help="breakeven discount roots z(1)..z(n)")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=ROOT_TOL)
     _add_output_args(p)
 
     p = sub.add_parser("simulate", help="play a schedule or an i.i.d. guesser forward")
@@ -217,6 +218,7 @@ def _cmd_oracle(args) -> tuple[dict[str, Any], Table]:
     from . import oracle
 
     c = Threshold(args.c_num, args.c_den)
+    check_tol(args.tol, "tol", positive=True)  # it is echoed in every mode's params
     payload: dict[str, Any] = {"mode": args.mode}
     if args.mode == "vi":
         value = oracle.value_iteration(args.alpha, args.beta, c, args.delta, tol=args.tol)
@@ -282,20 +284,19 @@ def _cmd_simulate(args) -> tuple[dict[str, Any], Table]:
 
 
 def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
-    if not (math.isfinite(args.step) and args.step > 0.0):
-        raise ValueError("--step must be positive and finite")
-    if not 0.0 < args.delta_min < args.delta_max < 1.0:
-        raise ValueError("need 0 < --delta-min < --delta-max < 1")
+    check_tol(args.step, "--step", positive=True)
+    check_delta(args.delta_min, "--delta-min")
+    check_delta(args.delta_max, "--delta-max")
+    if not args.delta_min < args.delta_max:
+        raise ValueError("need --delta-min < --delta-max")
     # a grid point passes the test below only if delta_min + i*step is at
     # most delta_max + 1.5e-12 (end tolerance plus rounding), so this bounds
     # the point count before any point is classified
     points = (args.delta_max - args.delta_min + 2e-12) / args.step + 1
     _check_rows("the sweep grid", points)
-    # one setup per grid: (q, k), the roots and the delta check hold for every
-    # point, since each is at least round(delta_min, 12) and at most delta_max
+    # one setup per grid: (q, k) and the roots hold for every point, and each
+    # point lies in [0, delta_max], so within check_delta's range
     q, k = split_slack(args.alpha, args.beta, args.m)
-    if round(args.delta_min, 12) <= 0.0:
-        raise ValueError("--delta-min must stay positive when rounded to 12 decimals")
     z_low, z_high = root_pair(args.m, k)
     rows = []
     for i in range(int(points)):
@@ -305,7 +306,7 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
         if delta > args.delta_max + 1e-12:
             break
         d = min(delta, args.delta_max)
-        kind, members = regime(d, z_low, z_high, k, 1e-9)  # classify's default band
+        kind, members = regime(d, z_low, z_high, k, TIE_TOL)
         rows.append(
             {
                 "delta": d,

@@ -28,6 +28,7 @@ from .belief import Action, check_delta, check_tol, split_slack
 from .strategy import FamilyIndex, Run, Strategy, check_index
 
 _ULP_FLOOR = 1e-15  # bisection stops shrinking brackets below float spacing
+ROOT_TOL = 1e-12  # default tolerance of a breakeven root, its bracket and its residual
 
 
 class BreakevenRoot(NamedTuple):
@@ -67,7 +68,7 @@ def payoff(x: Strategy, delta: float) -> float:
     return head + delta**t * cycle_value / -math.expm1(period * log_delta)
 
 
-def breakeven_discount(n: int, tol: float = 1e-12) -> BreakevenRoot:
+def breakeven_discount(n: int, tol: float = ROOT_TOL) -> BreakevenRoot:
     """Root of x**n + x**(n+1) - 1 in (0, 1) by bisection.
 
     Iterates until both the bracket width and the residual at the

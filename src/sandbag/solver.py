@@ -12,13 +12,15 @@ of delta**n + delta**(n+1) - 1 for the relevant n, so the optimum is
     delta > z(m)            -> h^inf
 
 with ties exactly at the roots. When k = 0 the two roots coincide and
-the whole family ties there at once.
+the whole family ties there at once. A delta of 0 lies below every
+root, so it gets h^1.
 
 The rule has one home: ``root_pair`` gives (z_low, z_high) for (m, k) and
 ``regime`` places delta against them, and ``classify`` and the CLI's
 ``sweep`` both call these two; each member is priced by
 ``payoff.frontier_value``, the closed form behind ``frontier_payoff``.
-A sweep therefore finds (q, k) and the roots once per grid.
+A sweep therefore finds (q, k) and the roots once per grid, with the
+default tie band ``TIE_TOL``; every delta is checked by ``check_delta``.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .belief import Threshold, check_tol, checked, is_real, split_slack
+from .belief import Threshold, check_delta, check_tol, checked, split_slack
 from .payoff import breakeven_discount, frontier_value, payoff
 from .strategy import FamilyIndex, frontier_strategy
+
+TIE_TOL = 1e-9  # default half-width of the band around a root that counts as a tie
 
 
 class OptimalKind(str, Enum):
@@ -40,14 +44,14 @@ class OptimalKind(str, Enum):
 
 
 class ProblemInstance(checked("ProblemInstance", "alpha0 beta0 m delta")):
-    """Prior Beta(alpha0, beta0), cutoff 1/(m+1), discount delta."""
+    """Prior Beta(alpha0, beta0), cutoff 1/(m+1), discount delta in [0, 1)
+    as ``check_delta`` admits it."""
 
     __slots__ = ()
 
     def __new__(cls, alpha0: int, beta0: int, m: int, delta: float):
         split_slack(alpha0, beta0, m)
-        if not (is_real(delta) and 0.0 < delta < 1.0):
-            raise ValueError("delta out of range")
+        check_delta(delta)
         return super().__new__(cls, alpha0, beta0, m, delta)
 
     @property
@@ -112,11 +116,12 @@ def regime(
     return OptimalKind.UNIQUE, (math.inf,)
 
 
-def classify(inst: ProblemInstance, tie_tol: float = 1e-9) -> OptimalSet:
+def classify(inst: ProblemInstance, tie_tol: float = TIE_TOL) -> OptimalSet:
     """Place delta against the breakeven roots and return the optimal set.
 
     ``tie_tol`` is the half-width of the band around each root treated
-    as an exact tie; the roots themselves are computed to 1e-12.
+    as an exact tie; the roots themselves are computed to
+    ``payoff.ROOT_TOL``. Any delta in [0, 1) is placed; 0 gets h^1.
     """
     check_tol(tie_tol, "tie_tol")
     q, k = split_slack(inst.alpha0, inst.beta0, inst.m)

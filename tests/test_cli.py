@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -25,10 +26,12 @@ from sandbag import (
     format_strategy,
     frontier_strategy,
 )
-from sandbag.belief import split_slack
+from sandbag.belief import check_delta, check_tol, split_slack
 from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
-from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT
-from sandbag.solver import root_pair
+from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT, value_iteration
+from sandbag.payoff import ROOT_TOL
+from sandbag.sim import GuesserConfig
+from sandbag.solver import TIE_TOL, root_pair
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -71,6 +74,11 @@ class TestSolve:
     def test_middle_regime_member(self, capsys):
         doc = run_json(capsys, "solve", "--alpha", "1", "--beta", "5", "--m", "2", "--delta", "0.7")
         assert doc["result"]["members"] == ["sfss"]
+
+    @pytest.mark.parametrize("delta", ["0", "0.0", "-0.0"])
+    def test_delta_zero_gives_h1(self, capsys, delta):
+        doc = run_json(capsys, "solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", delta)
+        assert doc["result"]["indices"] == ["h1"] and doc["result"]["payoffs"] == {"h1": 1.0}
 
     def test_prior_above_threshold_exits_2(self, capsys):
         code, out, err = run(capsys, "solve", "--alpha", "3", "--beta", "1", "--m", "1", "--delta", "0.5")
@@ -269,6 +277,10 @@ class TestOracle:
          "--delta-max", "0.9", "--step", "nan"),
         ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0.3",
          "--delta-max", "0.9", "--step", "inf"),
+        # --tol is echoed in every mode's params, so dp and exhaustive check it too
+        *[("oracle", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+           "--delta", "0.5", "--mode", mode, "--horizon", "5", f"--tol={tol}")
+          for mode in ("dp", "exhaustive") for tol in ("nan", "inf", "-1", "0")],
     ],
 )
 def test_nonfinite_tolerance_exits_2(capsys, argv):
@@ -428,14 +440,17 @@ class TestSweep:
         )
         assert code == EXIT_LIMIT and "limit" in err and out == ""
 
-    def test_delta_min_rounding_to_zero_names_the_flag(self, capsys):
-        # every grid point is rounded to 12 decimals, so 1e-13 would give delta 0.0
-        code, out, err = run(
+    @pytest.mark.parametrize("delta_min", ["0", "-0.0", "1e-13"])
+    def test_delta_min_rounding_to_zero_gives_a_zero_row(self, capsys, delta_min):
+        # every grid point is rounded to 12 decimals, so 1e-13 gives delta 0.0,
+        # which check_delta admits like any delta in [0, 1)
+        doc = run_json(
             capsys, "sweep", "--alpha", "1", "--beta", "3", "--m", "2",
-            "--delta-min", "1e-13", "--delta-max", "0.5", "--step", "0.1",
+            "--delta-min", delta_min, "--delta-max", "0.5", "--step", "0.1",
         )
-        assert code == EXIT_USAGE and out == ""
-        assert err == "error: --delta-min must stay positive when rounded to 12 decimals\n"
+        first = doc["result"]["rows"][0]
+        assert (first["delta"], first["regime"], first["best_payoff"]) == (0.0, "h1", 1.0)
+        assert math.copysign(1.0, first["delta"]) == 1.0
 
     @pytest.mark.parametrize(
         "grid, code, message",
@@ -448,8 +463,7 @@ class TestSweep:
         ],
     )
     def test_error_order(self, capsys, grid, code, message):
-        """--step, then the delta range, then the row cap, then the prior and
-        m, then the rounded --delta-min."""
+        """--step, then the delta range, then the row cap, then the prior and m."""
         lo, hi, step = grid
         got, out, err = run(
             capsys, "sweep", "--alpha", "5", "--beta", "3", "--m", "2",
@@ -990,6 +1004,10 @@ _ENVELOPE_ARGVS = [
     ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
      "--guesser-p", "0.5", "--seed", "34", "--max-periods", "10000"),
     ("thresholds", "--n-max", "200"),
+    # delta = 0 has an answer in solve and sweep, as in evaluate
+    ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0"),
+    ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0",
+     "--delta-max", "0.2", "--step", "0.1"),
 ]
 
 
@@ -1023,3 +1041,95 @@ def test_render_never_runs_the_pure_python_encoder(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_OK and err == ""
     assert json.loads(out)["command"] == argv[0]
+
+
+def _not_json(name: str):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def test_every_envelope_is_strict_json(capsys):
+    for argv in _ENVELOPE_ARGVS:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
+        json.loads(out, parse_constant=_not_json)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parse = cli.build_parser().parse_args
+    assert parse(["solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0.5"]).tie_tol == TIE_TOL
+    assert parse(["thresholds", "--n-max", "1"]).tol == ROOT_TOL
+    vi_tol = inspect.signature(value_iteration).parameters["tol"].default
+    assert parse(["oracle", *_PRIOR_CUTOFF, "--delta", "0.5"]).tol == vi_tol
+
+
+def _refuses(rule, x: float) -> bool:
+    try:
+        rule(x)
+    except ValueError:
+        return True
+    return False
+
+
+def _sweep_ends(lo: float, hi: float) -> None:
+    check_delta(lo)
+    check_delta(hi)
+    if not lo < hi:
+        raise ValueError("need --delta-min < --delta-max")
+
+
+_NEAR_ONE = math.nextafter(1.0, 0.0)
+_SWEEP_BASE = ("sweep", "--alpha", "1", "--beta", "3", "--m", "1")
+# each real-valued flag: a valid argv without it, and the library rule that
+# owns it; a sweep end is also ordered against the other end
+_REAL_FLAGS = {
+    "solve --delta": (("solve", "--alpha", "1", "--beta", "3", "--m", "1"), check_delta),
+    "solve --tie-tol": (
+        ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0.5"),
+        lambda x: check_tol(x, "tie_tol"),
+    ),
+    "evaluate --delta": (("evaluate", "--strategy", "ssfs(fs)*"), check_delta),
+    **{
+        f"oracle {mode} --delta": (("oracle", *_PRIOR_CUTOFF, "--mode", mode, "--horizon", "5"),
+                                   check_delta)
+        for mode in ("exhaustive", "dp", "vi")
+    },
+    **{
+        f"oracle {mode} --tol": (
+            ("oracle", *_PRIOR_CUTOFF, "--delta", "0.5", "--mode", mode, "--horizon", "5"),
+            lambda x: check_tol(x, "tol", positive=True),
+        )
+        for mode in ("exhaustive", "dp", "vi")
+    },
+    "thresholds --tol": (("thresholds", "--n-max", "3"), lambda x: check_tol(x, "tol", positive=True)),
+    "simulate --delta": (("simulate", *_PRIOR_CUTOFF, "--strategy", "ssfss", "--max-periods", "10"),
+                         check_delta),
+    "simulate --guesser-p": (("simulate", *_PRIOR_CUTOFF, "--seed", "1", "--max-periods", "10"),
+                             lambda x: GuesserConfig(x, 1)),
+    "sweep --delta-min": ((*_SWEEP_BASE, "--delta-max", repr(_NEAR_ONE), "--step", "0.25"),
+                          lambda x: _sweep_ends(x, _NEAR_ONE)),
+    "sweep --delta-max": ((*_SWEEP_BASE, "--delta-min", "0", "--step", "0.25"),
+                          lambda x: _sweep_ends(0.0, x)),
+    "sweep --step": ((*_SWEEP_BASE, "--delta-min", "0.25", "--delta-max", "0.75"),
+                     lambda x: check_tol(x, "--step", positive=True)),
+}
+_REAL_VALUES = ("nan", "inf", "-inf", "-1", "-0.0", "0", "5e-324", "0.5", repr(_NEAR_ONE), "1", "1.5")
+# the accepted values that run into a cap on the work
+_CAPPED = {("oracle vi --delta", repr(_NEAR_ONE)), ("sweep --step", "5e-324")}
+
+
+@pytest.mark.parametrize("flag", _REAL_FLAGS)
+def test_real_flag_exits_2_exactly_when_its_rule_refuses(capsys, flag):
+    """Every real-valued flag is checked by the library rule that owns it and
+    by nothing else: exit 2 with no output when the rule refuses the float,
+    and otherwise an answer, or exit 3 where a cap on the work applies."""
+    base, rule = _REAL_FLAGS[flag]
+    name = flag.split()[-1]
+    for text in _REAL_VALUES:
+        # "--flag=value", as argparse would read a lone "-inf" as a flag
+        code, out, err = run(capsys, *base, f"{name}={text}")
+        if _refuses(rule, float(text)):
+            assert (code, out) == (EXIT_USAGE, ""), (flag, text, err)
+        elif (flag, text) in _CAPPED:
+            assert (code, out) == (EXIT_LIMIT, ""), (flag, text, err)
+        else:
+            assert (code, err) == (EXIT_OK, ""), (flag, text, err)

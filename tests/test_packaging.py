@@ -1,6 +1,7 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
 one module deciding whether a prior starts within the cutoff and one door
-from a prior to a walk's slack, no unused imports, one walk for
+from a prior to a walk's slack, one rule for a delta and one for a step or
+tolerance, no unused imports, one walk for
 the frontier family, one regime rule and one closed form for its members,
 enumerate printing its words without a Strategy, one
 slotted base for the checked value types, one Strategy constructor, and each
@@ -81,6 +82,37 @@ def test_one_door_from_a_prior_to_the_slack():
         "m must be an integer": {("belief.py", "from_m")},
     }
     assert not hasattr(belief, "check_m")
+
+
+def test_one_rule_for_delta_steps_and_tolerances():
+    """``check_delta`` is the only function that compares a delta with both
+    0 and 1; the CLI has no range test of its own for a float (no
+    ``math.isfinite``, no compare on a rounded value), and the tie band's
+    ``1e-9`` and the root default's ``1e-12`` are each written once, the
+    sweep grid's own end tolerance aside."""
+    bounds: dict[tuple, set] = {}
+    literals: dict[float, list] = {1e-9: [], 1e-12: []}
+    for p in sorted((ROOT / "src" / "sandbag").glob("*.py")):
+        tree = ast.parse(p.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                if any("delta" in ast.unparse(x) for x in operands):
+                    found = bounds.setdefault((p.name, fn.name), set())
+                    found |= {x.value for x in operands if isinstance(x, ast.Constant)}
+                if p.name == "cli.py":
+                    assert not any(ast.unparse(x).startswith("round(") for x in operands), fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in literals:
+                literals[node.value].append((p.name, node.lineno))
+    assert [key for key, found in bounds.items() if {0, 1} <= found] == [("belief.py", "check_delta")]
+    assert "isfinite" not in (ROOT / "src" / "sandbag" / "cli.py").read_text()
+    assert [name for name, _ in literals[1e-9]] == ["solver.py"]
+    assert sorted(name for name, _ in literals[1e-12]) == ["cli.py", "payoff.py"]
 
 
 @pytest.mark.parametrize(

@@ -29,10 +29,16 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match="prior mean exceeds threshold"):
             ProblemInstance(3, 1, 1, 0.5)
 
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 1.7, True, "0.5", None])
+    @pytest.mark.parametrize("delta", [1.0, -0.2, 1.7, True, "0.5", None])
     def test_rejects_delta_out_of_range(self, delta):
-        with pytest.raises(ValueError, match="delta out of range"):
+        with pytest.raises(ValueError, match=r"^delta must lie in \[0, 1\)$"):
             ProblemInstance(1, 3, 1, delta)
+
+    @pytest.mark.parametrize("delta", [0, 0.0, -0.0])
+    def test_accepts_delta_zero(self, delta):
+        # only the first period counts: h^1 takes its success there
+        res = classify(ProblemInstance(1, 3, 1, delta))
+        assert (res.kind, res.members, res.payoffs) == (OptimalKind.UNIQUE, (1,), {1: 1.0})
 
     @pytest.mark.parametrize("field", ["alpha0", "beta0", "m"])
     def test_rejects_nonpositive_ints(self, field):

@@ -12,6 +12,7 @@ from sandbag import (
     Action,
     BeliefState,
     GuesserConfig,
+    LimitExceededError,
     OptimalKind,
     OptimalSet,
     OracleResult,
@@ -136,7 +137,7 @@ def test_validated_types_keep_their_messages():
         BeliefState(1, 3, -1)
     with pytest.raises(ValueError, match="prior pseudo-counts must be integers >= 1"):
         ProblemInstance(1, True, 1, 0.5)
-    with pytest.raises(ValueError, match="delta out of range"):
+    with pytest.raises(ValueError, match=r"^delta must lie in \[0, 1\)$"):
         ProblemInstance(1, 3, 1, 1.0)
     with pytest.raises(ValueError, match="cycle must contain at least one action"):
         Strategy([(S, 1)], [(F, 0)])
@@ -154,7 +155,7 @@ DELTA_TAKERS = {
     "exhaustive_best": lambda d: exhaustive_best(1, 3, _HALF, d, 3),
     "dp_value": lambda d: dp_value(1, 3, _HALF, d, 3),
     "value_iteration": lambda d: value_iteration(1, 3, _HALF, d),
-    "play_strategy": lambda d: play_strategy(1, 3, _HALF, parse_strategy("ss"), d),
+    "play_strategy": lambda d: play_strategy(1, 3, _HALF, parse_strategy("sss"), d),
     "play_guesser": lambda d: play_guesser(1, 3, _HALF, GuesserConfig(0.5, 1), d),
 }
 BAD_DELTAS = [
@@ -162,6 +163,21 @@ BAD_DELTAS = [
     for name in DELTA_TAKERS
     for bad in (True, False, "0.5", Fraction(1, 2), *([] if name.startswith("play_") else [None]))
 ]
+
+
+@pytest.mark.parametrize("name", DELTA_TAKERS)
+def test_every_delta_taker_shares_one_check(name):
+    """``check_delta`` is the one rule: each taker refuses the same reals
+    with the same message and accepts all of [0, 1), its ends included."""
+    take = DELTA_TAKERS[name]
+    for bad in (-0.1, 1.0, 1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^delta must lie in \[0, 1\)$"):
+            take(bad)
+    for good in (0, 0.0, -0.0, 5e-324, math.nextafter(1.0, 0.0)):
+        try:
+            take(good)
+        except LimitExceededError:
+            pass  # a cap on the work (value iteration near 1), checked after delta
 
 
 @pytest.mark.parametrize("name, bad", BAD_DELTAS, ids=[f"{n}-{b!r}" for n, b in BAD_DELTAS])
@@ -178,7 +194,7 @@ CHECKED = [
     (Threshold(1, 2), "num", 5, "threshold must satisfy 0 < num/den < 1"),
     (BeliefState(1, 3), "alpha0", 0, "prior pseudo-counts must be integers >= 1"),
     (BeliefState(1, 3), "failures", True, "observation counts must be nonnegative"),
-    (ProblemInstance(1, 3, 1, 0.5), "delta", 7.0, "delta out of range"),
+    (ProblemInstance(1, 3, 1, 0.5), "delta", 7.0, "delta must lie in [0, 1)"),
     (GuesserConfig(0.3, 7), "seed", True, "seed must be an integer"),
     (parse_strategy("ssfs(fs)*"), "cycle_runs", (), "cycle must contain at least one action"),
     (parse_strategy("ssf"), "prefix_runs", (), "finite strategy must contain at least one action"),
