@@ -66,10 +66,8 @@ class Threshold(checked("Threshold", "num den")):
     __slots__ = ()
 
     def __new__(cls, num: int, den: int):
-        if type(num) is not int or type(den) is not int:
-            raise ValueError("threshold terms must be integers")
-        if den <= 0:
-            raise ValueError("threshold denominator must be positive")
+        check_int(num, "threshold numerator")
+        check_int(den, "threshold denominator", 1)
         if not 0 < num < den:
             raise ValueError("threshold must satisfy 0 < num/den < 1")
         g = math.gcd(num, den)
@@ -79,19 +77,18 @@ class Threshold(checked("Threshold", "num den")):
     def from_m(cls, m: int) -> "Threshold":
         """Cutoff 1/(m+1), and the one check that the cutoff period m is an
         int >= 1 (no bool, no 2.0)."""
-        if type(m) is not int or m < 1:
-            raise ValueError("m must be an integer >= 1")
+        check_int(m, "m", 1)
         return cls(1, m + 1)
 
     def step(self, slack: int, outcome: Action, count: int = 1) -> int:
-        """Slack (see ``BeliefState.slack``) after ``count`` more of one
-        outcome: a success uses up ``den - num``, a failure adds ``num``.
-        Any outcome but an ``Action`` is refused, the text "s" too."""
+        """Slack (see ``start_slack``) after ``count`` more of one outcome:
+        a success uses up ``den - num``, a failure adds ``num``. Any
+        outcome but an ``Action`` is refused, the text "s" too."""
         if outcome is Action.SUCCESS:
             return slack - count * (self.den - self.num)
         if outcome is Action.FAILURE:
             return slack + count * self.num
-        raise ValueError(f"outcome must be an Action, got {outcome!r}")
+        raise ValueError(f"outcome must be an Action, got {type(outcome).__name__}")
 
     def padding(self, slack: int) -> int:
         """Fewest failures after which one more success keeps the slack
@@ -112,19 +109,26 @@ def check_delta(delta: float, name: str = "delta") -> None:
         raise ValueError(f"{name} must lie in [0, 1)")
 
 
-def _check_prior(alpha0: int, beta0: int) -> None:
-    if type(alpha0) is not int or type(beta0) is not int or alpha0 < 1 or beta0 < 1:
-        raise ValueError("prior pseudo-counts must be integers >= 1")  # bools too
+def check_int(value: int, name: str, least: int | None = None) -> None:
+    """Require a plain int (no bool, float or int subclass), >= ``least``
+    when given: the one rule for a count, index, horizon or size. The
+    message names the input and never echoes its value."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}")
 
 
 def start_slack(alpha0: int, beta0: int, c: Threshold) -> int:
-    """``BeliefState.slack`` of the prior Beta(alpha0, beta0) at cutoff ``c``,
-    the one door from a prior to a walk's slack: ValueError for a prior beyond
-    the cutoff or a ``c`` that is not a ``Threshold``. For cutoff 1/(m+1) it
-    is m*q + k, q being the free successes that open play."""
-    _check_prior(alpha0, beta0)
+    """The slack num*(beta0+F) - (den-num)*(alpha0+S) of Beta(alpha0, beta0)
+    at cutoff ``c = num/den`` after S successes and F failures has the sign
+    of c - posterior mean; this is its start, at S = F = 0, and the one door
+    from a prior to a walk's slack: ValueError for a prior beyond the cutoff
+    or a ``c`` that is not a ``Threshold``. For cutoff 1/(m+1) it is
+    m*q + k, q being the free successes that open play."""
+    check_int(alpha0, "alpha0", 1)
+    check_int(beta0, "beta0", 1)
     if type(c) is not Threshold:
-        raise ValueError(f"cutoff must be a Threshold, got {c!r}")
+        raise ValueError(f"cutoff must be a Threshold, got {type(c).__name__}")
     slack = c.num * beta0 - (c.den - c.num) * alpha0
     if slack < 0:
         raise ValueError("prior mean exceeds threshold")
@@ -157,9 +161,10 @@ class BeliefState(checked("BeliefState", "alpha0 beta0 successes failures")):
     __slots__ = ()
 
     def __new__(cls, alpha0: int, beta0: int, successes: int = 0, failures: int = 0):
-        _check_prior(alpha0, beta0)
-        if any(type(n) is not int or n < 0 for n in (successes, failures)):
-            raise ValueError("observation counts must be nonnegative integers")  # bools too
+        check_int(alpha0, "alpha0", 1)
+        check_int(beta0, "beta0", 1)
+        check_int(successes, "successes", 0)
+        check_int(failures, "failures", 0)
         return super().__new__(cls, alpha0, beta0, successes, failures)
 
     @property
@@ -178,7 +183,7 @@ class BeliefState(checked("BeliefState", "alpha0 beta0 successes failures")):
             return BeliefState(self.alpha0, self.beta0, self.successes + 1, self.failures)
         if outcome is Action.FAILURE:
             return BeliefState(self.alpha0, self.beta0, self.successes, self.failures + 1)
-        raise ValueError(f"outcome must be an Action, got {outcome!r}")
+        raise ValueError(f"outcome must be an Action, got {type(outcome).__name__}")
 
     def within_threshold(self, c: Threshold) -> bool:
         """True while the monitor keeps playing: posterior mean <= c.

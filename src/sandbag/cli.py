@@ -38,7 +38,7 @@ import sys
 from typing import Any, Sequence
 
 from . import __version__
-from .belief import LimitExceededError, Threshold, check_delta, check_tol, split_slack
+from .belief import LimitExceededError, Threshold, check_delta, check_int, check_tol, split_slack
 from .payoff import ROOT_TOL, breakeven_discount, frontier_value, payoff
 from .solver import TIE_TOL, OptimalKind, ProblemInstance, classify, regime, root_pair
 from .strategy import format_strategy, frontier_strategy, parse_strategy
@@ -174,8 +174,7 @@ def _cmd_solve(args) -> tuple[dict[str, Any], Table]:
 
 
 def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
-    if args.max_index < 1:
-        raise ValueError("--max-index must be at least 1")
+    check_int(args.max_index, "--max-index", 1)
     c = Threshold(args.c_num, args.c_den)
     walk = _opportunities(args.alpha, args.beta, c)
     blocks = []
@@ -236,8 +235,7 @@ def _cmd_oracle(args) -> tuple[dict[str, Any], Table]:
 
 
 def _cmd_thresholds(args) -> tuple[dict[str, Any], Table]:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be at least 1")
+    check_int(args.n_max, "--n-max", 1)
     _check_rows("--n-max", args.n_max)
     roots = [breakeven_discount(n, tol=args.tol) for n in range(1, args.n_max + 1)]
     rows = [{"n": r.n, "z": r.z, "residual": r.residual} for r in roots]

@@ -22,7 +22,8 @@ import math
 import operator
 from typing import NamedTuple
 
-from .belief import Action, LimitExceededError, Threshold, check_delta, check_tol, start_slack
+from .belief import Action, LimitExceededError, Threshold, start_slack
+from .belief import check_delta, check_int, check_tol
 
 EXHAUSTIVE_LIMIT = 25
 EXHAUSTIVE_WORK_LIMIT = 6_000_000  # most tree nodes one exhaustive_best may visit
@@ -36,13 +37,6 @@ class OracleResult(NamedTuple):
     horizon: int
 
 
-def _check_horizon(horizon: int) -> None:
-    if type(horizon) is not int:
-        raise ValueError("horizon must be an integer")  # bools too
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-
-
 def exhaustive_best(
     alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int
 ) -> OracleResult:
@@ -54,7 +48,7 @@ def exhaustive_best(
     Guarded at horizon <= 25 since the tree is exponential, and by the
     tree's node count, which must be at most EXHAUSTIVE_WORK_LIMIT.
     """
-    _check_horizon(horizon)
+    check_int(horizon, "horizon", 0)
     check_delta(delta)
     slack0 = start_slack(alpha0, beta0, c)
     if horizon > EXHAUSTIVE_LIMIT:
@@ -130,7 +124,7 @@ def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) 
     does, and ``s if s >= f else f`` is the float ``max(s, f)`` gives, as
     no value is NaN. Guarded at horizon <= 500.
     """
-    _check_horizon(horizon)
+    check_int(horizon, "horizon", 0)
     check_delta(delta)
     slack0 = start_slack(alpha0, beta0, c)
     if horizon > DP_LIMIT:

@@ -24,7 +24,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .belief import Action, check_delta, check_tol, split_slack
+from .belief import Action, check_delta, check_int, check_tol, split_slack
 from .strategy import FamilyIndex, Run, Strategy, check_index
 
 _ULP_FLOOR = 1e-15  # bisection stops shrinking brackets below float spacing
@@ -75,8 +75,7 @@ def breakeven_discount(n: int, tol: float = ROOT_TOL) -> BreakevenRoot:
     midpoint are at most ``tol`` (or the bracket hits float spacing).
     """
     # True == 1, 2.0 == 2 and an IntEnum of 2 hash alike, so only a plain int may reach the cache
-    if type(n) is not int or n < 1:
-        raise ValueError("n must be a positive integer")
+    check_int(n, "n", 1)
     check_tol(tol, "tol", positive=True)
     return _bisect(n, tol)
 

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .belief import Action, Threshold, check_delta, checked, is_real, start_slack
+from .belief import Action, Threshold, check_delta, check_int, checked, is_real, start_slack
 from .strategy import Strategy
 
 
@@ -46,16 +46,8 @@ class GuesserConfig(checked("GuesserConfig", "p_true seed")):
             raise ValueError("p_true must be a number, not a bool")
         if not 0.0 <= p_true <= 1.0:
             raise ValueError("p_true must lie in [0, 1]")
-        if type(seed) is not int:
-            raise ValueError("seed must be an integer")  # bools too
+        check_int(seed, "seed")
         return super().__new__(cls, p_true, seed)
-
-
-def _check_max_periods(max_periods: int) -> None:
-    if type(max_periods) is not int:
-        raise ValueError("max_periods must be an integer")  # bools too
-    if max_periods < 1:
-        raise ValueError("max_periods must be at least 1")
 
 
 def _run(
@@ -111,7 +103,7 @@ def play_strategy(
     ValueError is raised. ``max_periods`` caps infinite schedules only,
     which then stop with ``terminated`` False.
     """
-    _check_max_periods(max_periods)
+    check_int(max_periods, "max_periods", 1)
     cap = x.length if x.is_finite else max_periods
     traj = _run(alpha0, beta0, c, x.actions(limit=cap), delta, cap)
     if x.is_finite and not traj.terminated:
@@ -128,7 +120,7 @@ def play_guesser(
     max_periods: int = 10_000,
 ) -> Trajectory:
     """Run an i.i.d. success/failure source until crossing or the cap."""
-    _check_max_periods(max_periods)
+    check_int(max_periods, "max_periods", 1)
     rng = random.Random(guesser.seed)
 
     def draws():

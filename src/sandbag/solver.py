@@ -29,7 +29,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .belief import Threshold, check_delta, check_tol, checked, split_slack
+from .belief import Threshold, check_delta, check_int, check_tol, checked, split_slack
 from .payoff import breakeven_discount, frontier_value, payoff
 from .strategy import FamilyIndex, frontier_strategy
 
@@ -150,8 +150,7 @@ def verify_ordering(inst: ProblemInstance, n_max: int, atol: float = 1e-10) -> O
     Beta(alpha0 + q, beta0), which drop the q free successes all members
     open with: at large q those hide the differences below float resolution.
     """
-    if type(n_max) is not int or n_max < 2:
-        raise ValueError("n_max must be an integer >= 2")  # bools too
+    check_int(n_max, "n_max", 2)
     check_tol(atol, "atol")
     q, _ = split_slack(inst.alpha0, inst.beta0, inst.m)
     c = inst.threshold

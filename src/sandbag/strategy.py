@@ -34,7 +34,7 @@ import math
 import re
 from typing import Iterable, Iterator, Union
 
-from .belief import Action, Threshold, checked, start_slack
+from .belief import Action, Threshold, check_int, checked, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
@@ -56,10 +56,11 @@ def _merge(runs: Iterable[Run]) -> tuple[Run, ...]:
     joined, so each word has exactly one run form."""
     out: list[Run] = []
     for action, count in runs:
+        # check_int's rule and text, inlined: this runs once per run of every word
         if type(count) is not int or count < 0:
-            raise ValueError(f"run count must be a nonnegative integer, got {count!r}")
+            raise ValueError("run count must be an integer >= 0")
         if type(action) is not Action:
-            raise ValueError(f"run action must be an Action, got {action!r}")
+            raise ValueError(f"run action must be an Action, got {type(action).__name__}")
         if count:
             if out and out[-1][0] is action:
                 out[-1] = (action, out[-1][1] + count)
@@ -120,8 +121,8 @@ class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
     def actions(self, limit: int | None = None) -> Iterator[Action]:
         """Yield the schedule in order; ``limit``, None or an int >= 0,
         bounds infinite ones."""
-        if limit is not None and (type(limit) is not int or limit < 0):
-            raise ValueError(f"limit must be None or an integer >= 0, got {limit!r}")
+        if limit is not None:
+            check_int(limit, "limit", 0)
         seq = _expand(self.prefix_runs)
         if self.cycle_runs is not None:
             seq = itertools.chain(seq, itertools.cycle(_expand(self.cycle_runs)))

@@ -52,7 +52,11 @@ class TestThreshold:
 
     @pytest.mark.parametrize("num,den", [(True, 2), (1.5, 3), (1, 3.0), (2.0, 4)])
     def test_rejects_bool_and_non_int_terms(self, num, den):
-        with pytest.raises(ValueError, match="integers"):
+        if type(num) is not int:
+            message = "^threshold numerator must be an integer$"
+        else:
+            message = "^threshold denominator must be an integer >= 1$"
+        with pytest.raises(ValueError, match=message):
             Threshold(num, den)
 
     @pytest.mark.parametrize("outcome", ["s", "f", "x", None, 5, 1.0, True])
@@ -98,7 +102,8 @@ class TestBeliefState:
 
     @pytest.mark.parametrize("alpha0,beta0", [(True, 3), (1, True), (1.5, 3), (1, 3.0)])
     def test_rejects_bool_and_non_int_prior(self, alpha0, beta0):
-        with pytest.raises(ValueError, match="pseudo-counts"):
+        name = "alpha0" if type(alpha0) is not int else "beta0"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
             BeliefState(alpha0, beta0)
 
     def test_rejects_negative_counts(self):
@@ -109,7 +114,8 @@ class TestBeliefState:
         "successes,failures", [(True, 0), (0, False), (1.5, 0), (0, 2.0), ("1", 0)]
     )
     def test_rejects_bool_and_non_int_counts(self, successes, failures):
-        with pytest.raises(ValueError, match="observation counts must be nonnegative"):
+        name = "successes" if type(successes) is not int else "failures"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0$"):
             BeliefState(1, 3, successes, failures)
 
     def test_mean_monotone_in_counts(self):
@@ -248,7 +254,8 @@ class TestStartSlack:
         "alpha0,beta0", [(0, 3), (-2, 3), (1, 0), (True, 3), (1, False), (1.0, 3), (1, 3.0)]
     )
     def test_rejects_bad_pseudo_counts(self, alpha0, beta0):
-        with pytest.raises(ValueError, match="pseudo-counts"):
+        name = "beta0" if type(alpha0) is int and alpha0 >= 1 else "alpha0"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
             start_slack(alpha0, beta0, Threshold(1, 2))
 
     @pytest.mark.parametrize("num,den", [(1, 1), (0, 2), (2, 2), (1, 0), (-1, 2)])

@@ -128,7 +128,7 @@ class TestEnumerate:
         assert code == EXIT_USAGE and "exceeds threshold" in err
 
     @pytest.mark.parametrize("alpha, beta, message", [("3", "1", "exceeds threshold"),
-                                                      ("0", "3", "pseudo-counts")])
+                                                      ("0", "3", "alpha0 must be an integer >= 1")])
     def test_bad_prior_exits_2_before_the_cycle_cap(self, capsys, alpha, beta, message):
         code, _, err = run(
             capsys, "enumerate", "--alpha", alpha, "--beta", beta,
@@ -294,10 +294,10 @@ _PRIOR_CUTOFF = ("--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2")
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("enumerate", *_PRIOR_CUTOFF, "--max-index", "0"), "--max-index must be at least 1"),
-        (("thresholds", "--n-max", "0"), "--n-max must be at least 1"),
+        (("enumerate", *_PRIOR_CUTOFF, "--max-index", "0"), "--max-index must be an integer >= 1"),
+        (("thresholds", "--n-max", "0"), "--n-max must be an integer >= 1"),
         *[(("oracle", *_PRIOR_CUTOFF, "--delta", "0.5", "--mode", mode, "--horizon", "-1"),
-           "horizon must be nonnegative") for mode in ("dp", "exhaustive")],
+           "horizon must be an integer >= 0") for mode in ("dp", "exhaustive")],
     ],
 )
 def test_count_below_its_range_exits_2(capsys, argv, message):

@@ -1,7 +1,7 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
 one module deciding whether a prior starts within the cutoff and one door
-from a prior to a walk's slack, one rule for a delta and one for a step or
-tolerance, no unused imports, one walk for
+from a prior to a walk's slack, one rule for a delta, one for a step or
+tolerance and one for an integer input, no unused imports, one walk for
 the frontier family, one regime rule and one closed form for its members,
 enumerate printing its words without a Strategy, one
 slotted base for the checked value types, one Strategy constructor, and each
@@ -58,10 +58,11 @@ def test_one_door_from_a_prior_to_the_slack():
     """Outside ``belief``, no function builds a ``BeliefState`` or reads a
     ``.slack``: every walk reads its start slack from
     ``start_slack(alpha0, beta0, c)``, always called with three arguments.
-    The cutoff's range rule and the m rule each sit in one function."""
+    The cutoff's range rule and the m rule each sit in one function, the
+    latter as ``from_m``'s ``check_int`` call."""
     from sandbag import belief
 
-    owners: dict[str, set] = {"threshold must satisfy": set(), "m must be an integer": set()}
+    ranges, m_rules = set(), set()
     for p in sorted((ROOT / "src" / "sandbag").glob("*.py")):
         for fn in ast.walk(ast.parse(p.read_text())):
             if not isinstance(fn, ast.FunctionDef):
@@ -73,14 +74,13 @@ def test_one_door_from_a_prior_to_the_slack():
                         assert call != "BeliefState" and not call.endswith(".slack"), (p.name, fn.name)
                     if call == "start_slack":
                         assert len(node.args) == 3 and not node.keywords, (p.name, fn.name)
+                    if call == "check_int" and ast.unparse(node.args[1]) == "'m'":
+                        m_rules.add((p.name, fn.name, ast.unparse(node)))
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    for text, found in owners.items():
-                        if text in node.value:
-                            found.add((p.name, fn.name))
-    assert owners == {
-        "threshold must satisfy": {("belief.py", "__new__")},
-        "m must be an integer": {("belief.py", "from_m")},
-    }
+                    if "threshold must satisfy" in node.value:
+                        ranges.add((p.name, fn.name))
+    assert ranges == {("belief.py", "__new__")}
+    assert m_rules == {("belief.py", "from_m", "check_int(m, 'm', 1)")}
     assert not hasattr(belief, "check_m")
 
 
@@ -113,6 +113,38 @@ def test_one_rule_for_delta_steps_and_tolerances():
     assert "isfinite" not in (ROOT / "src" / "sandbag" / "cli.py").read_text()
     assert [name for name, _ in literals[1e-9]] == ["solver.py"]
     assert sorted(name for name, _ in literals[1e-12]) == ["cli.py", "payoff.py"]
+
+
+def test_one_rule_for_an_integer_input():
+    """``type(x) is int`` and ``type(x) is not int`` are written in
+    ``check_int`` and its three exceptions alone: ``check_index`` also admits
+    ``math.inf``, ``OptimalSet.contains`` answers False rather than raise,
+    and ``_merge`` tests each run inline on the parse path. The private
+    helpers that once repeated the rule are gone."""
+    from sandbag import belief, oracle, sim
+
+    tests = set()
+    for p in sorted((ROOT / "src" / "sandbag").glob("*.py")):
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.Call)
+                    and ast.unparse(node.left.func) == "type"
+                    and any(ast.unparse(x) == "int" for x in node.comparators)
+                ):
+                    tests.add((p.name, fn.name))
+    assert tests == {
+        ("belief.py", "check_int"),
+        ("strategy.py", "check_index"),
+        ("solver.py", "contains"),
+        ("strategy.py", "_merge"),
+    }
+    assert not hasattr(belief, "_check_prior")
+    assert not hasattr(sim, "_check_max_periods")
+    assert not hasattr(oracle, "_check_horizon")
 
 
 @pytest.mark.parametrize(

@@ -107,7 +107,7 @@ class TestBreakevenDiscount:
     def test_rejects_bad_n_with_roots_cached(self, n):
         for warm in (1, 2):
             breakeven_discount(warm)
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
             breakeven_discount(n)
 
     def test_int_subclass_n_leaves_the_cache_plain(self):
@@ -115,7 +115,7 @@ class TestBreakevenDiscount:
             TWO = 2
 
         _bisect.cache_clear()
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
             breakeven_discount(N.TWO)
         assert type(breakeven_discount(2).n) is int
 
@@ -238,7 +238,7 @@ class TestFrontierPayoff:
     @pytest.mark.parametrize("alpha0", [0, -2])
     @pytest.mark.parametrize("index", [1, 2, math.inf])
     def test_rejects_nonpositive_alpha(self, alpha0, index):
-        with pytest.raises(ValueError, match="pseudo-counts"):
+        with pytest.raises(ValueError, match="^alpha0 must be an integer >= 1$"):
             frontier_payoff(alpha0, 3, 1, index, 0.5)
 
     @pytest.mark.parametrize("m", [0, -1])

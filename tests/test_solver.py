@@ -140,6 +140,28 @@ class TestClassify:
         res = classify(ProblemInstance(1, 3, 1, Z1 + 5e-10), tie_tol=1e-12)
         assert res.kind is OptimalKind.UNIQUE
 
+    def test_tie_tol_band_is_inclusive_at_both_roots(self):
+        # the band is the computed distance to the root, so its edge is exact
+        # in floats: a delta exactly tie_tol away ties, and one float step
+        # less of band leaves the member on that side
+        for beta0, m, delta, kind, beyond in [
+            (3, 1, 0.6, OptimalKind.TIE_ALL, (1,)),  # k = 0: the roots coincide
+            (3, 1, 0.65, OptimalKind.TIE_ALL, (math.inf,)),
+            (5, 2, 0.6, OptimalKind.TIE_LOW, (1,)),
+            (5, 2, 0.65, OptimalKind.TIE_LOW, (2,)),
+            (5, 2, 0.7, OptimalKind.TIE_HIGH, (2,)),
+            (5, 2, 0.8, OptimalKind.TIE_HIGH, (math.inf,)),
+        ]:
+            inst = ProblemInstance(1, beta0, m, delta)
+            res = classify(inst)
+            high = kind is OptimalKind.TIE_HIGH
+            near, far = (res.z_high, res.z_low) if high else (res.z_low, res.z_high)
+            tol = abs(delta - near)
+            assert kind is OptimalKind.TIE_ALL or abs(delta - far) > tol
+            assert classify(inst, tie_tol=tol).kind is kind, (beta0, delta)
+            narrow = classify(inst, tie_tol=math.nextafter(tol, 0.0))
+            assert (narrow.kind, narrow.members) == (OptimalKind.UNIQUE, beyond), (beta0, delta)
+
     def test_rejects_negative_tie_tol(self):
         with pytest.raises(ValueError):
             classify(ProblemInstance(1, 3, 1, 0.5), tie_tol=-1.0)

@@ -57,9 +57,22 @@ class TestParseFormat:
             assert format_strategy(parse_strategy(text)) == text
 
     def test_error_position(self):
-        with pytest.raises(StrategyParseError) as err:
-            parse_strategy("sxf")
-        assert err.value.position == 2
+        # every one of the parser's errors, each with the position it reports
+        for text, message, position in [
+            (5, "strategy text must be a str, not int", 1),
+            ("", "empty strategy text", 1),
+            ("sxf", "unexpected character 'x'", 2),
+            ("ss(sfx)*", "unexpected character 'x' in cycle", 6),
+            ("ss(f", "unterminated cycle", 5),
+            ("ss()*", "empty cycle", 4),
+            ("ss(f)", "cycle must be followed by '*'", 6),
+            ("ss(f)s*", "cycle must be followed by '*'", 6),
+            ("ss(f)*x", "trailing characters after cycle", 7),
+        ]:
+            with pytest.raises(StrategyParseError) as err:
+                parse_strategy(text)
+            assert str(err.value) == f"{message} (position {position})"
+            assert err.value.position == position
 
     def test_error_position_in_cycle(self):
         with pytest.raises(StrategyParseError, match="unexpected character 'x' in cycle") as err:
@@ -87,7 +100,7 @@ class TestParseFormat:
 
     @pytest.mark.parametrize("limit", [True, False, -1, 2.0, "2"])
     def test_actions_limit_must_be_an_int(self, limit):
-        with pytest.raises(ValueError, match="limit must be None or an integer >= 0"):
+        with pytest.raises(ValueError, match="^limit must be an integer >= 0$"):
             strat("s(fs)*").actions(limit)
 
     def test_strategy_validation(self):

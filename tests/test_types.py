@@ -1,5 +1,7 @@
-"""Contracts of the value types: repr text, immutability, equality and hashing."""
+"""Contracts of the value types: repr text, immutability, equality and
+hashing, and the shared rules for a delta and an integer input."""
 
+import argparse
 import copy
 import math
 import pickle
@@ -22,6 +24,7 @@ from sandbag import (
     Threshold,
     Trajectory,
     TrajectoryRecord,
+    breakeven_discount,
     classify,
     dp_value,
     exhaustive_best,
@@ -32,7 +35,10 @@ from sandbag import (
     play_guesser,
     play_strategy,
     value_iteration,
+    verify_ordering,
 )
+from sandbag import cli
+from sandbag.belief import start_slack
 
 S, F = Action.SUCCESS, Action.FAILURE
 _OPTIMAL = OptimalSet(OptimalKind.UNIQUE, (2,), 0.5, 0.75, {2: 1.5})
@@ -131,11 +137,11 @@ def test_optimal_set_ignores_payoffs_in_equality_and_hash():
 
 
 def test_validated_types_keep_their_messages():
-    with pytest.raises(ValueError, match="threshold terms must be integers"):
+    with pytest.raises(ValueError, match="^threshold numerator must be an integer$"):
         Threshold(1.0, 2)
-    with pytest.raises(ValueError, match="observation counts must be nonnegative"):
+    with pytest.raises(ValueError, match="^successes must be an integer >= 0$"):
         BeliefState(1, 3, -1)
-    with pytest.raises(ValueError, match="prior pseudo-counts must be integers >= 1"):
+    with pytest.raises(ValueError, match="^beta0 must be an integer >= 1$"):
         ProblemInstance(1, True, 1, 0.5)
     with pytest.raises(ValueError, match=r"^delta must lie in \[0, 1\)$"):
         ProblemInstance(1, 3, 1, 1.0)
@@ -188,12 +194,79 @@ def test_non_number_delta_is_a_value_error(name, bad):
         DELTA_TAKERS[name](bad)
 
 
+# every entry point that takes an integer, keyed by site, as (name in the
+# message, least value or None, call with that one input varied)
+INT_TAKERS = {
+    "Threshold-num": ("threshold numerator", None, lambda v: Threshold(v, 2)),
+    "Threshold-den": ("threshold denominator", 1, lambda v: Threshold(1, v)),
+    "from_m": ("m", 1, Threshold.from_m),
+    "start_slack-alpha0": ("alpha0", 1, lambda v: start_slack(v, 3, _HALF)),
+    "start_slack-beta0": ("beta0", 1, lambda v: start_slack(1, v, _HALF)),
+    "BeliefState-alpha0": ("alpha0", 1, lambda v: BeliefState(v, 3)),
+    "BeliefState-beta0": ("beta0", 1, lambda v: BeliefState(1, v)),
+    "BeliefState-successes": ("successes", 0, lambda v: BeliefState(1, 3, v)),
+    "BeliefState-failures": ("failures", 0, lambda v: BeliefState(1, 3, 0, v)),
+    "breakeven_discount": ("n", 1, breakeven_discount),
+    "actions": ("limit", 0, lambda v: parse_strategy("s(fs)*").actions(v)),
+    "GuesserConfig": ("seed", None, lambda v: GuesserConfig(0.5, v)),
+    "play_strategy": ("max_periods", 1, lambda v: play_strategy(
+        1, 3, _HALF, parse_strategy("(fs)*"), max_periods=v)),
+    "play_guesser": ("max_periods", 1, lambda v: play_guesser(
+        1, 3, _HALF, GuesserConfig(0.5, 1), max_periods=v)),
+    "exhaustive_best": ("horizon", 0, lambda v: exhaustive_best(1, 3, _HALF, 0.5, v)),
+    "dp_value": ("horizon", 0, lambda v: dp_value(1, 3, _HALF, 0.5, v)),
+    "verify_ordering": ("n_max", 2, lambda v: verify_ordering(ProblemInstance(1, 3, 1, 0.5), v)),
+    "enumerate": ("--max-index", 1, lambda v: cli._cmd_enumerate(
+        argparse.Namespace(alpha=1, beta=3, c_num=1, c_den=2, max_index=v))),
+    "thresholds": ("--n-max", 1, lambda v: cli._cmd_thresholds(
+        argparse.Namespace(n_max=v, tol=1e-12))),
+}
+
+
+@pytest.mark.parametrize("site", INT_TAKERS)
+def test_every_int_taker_shares_one_check(site):
+    """``check_int`` is the one rule: each taker accepts its least value
+    (1 where there is none) and refuses the value below it, a bool, a float,
+    a str, None (a limit of None means none) and a 5000-digit negative int,
+    each with the same message, which names the input and not its value."""
+    name, least, take = INT_TAKERS[site]
+    message = f"{name} must be an integer" + ("" if least is None else f" >= {least}")
+    try:
+        take(1 if least is None else least)
+    except ValueError as exc:  # 0 < num < den is the cutoff's own rule, past the int rule
+        assert (site, str(exc)) == ("Threshold-den", "threshold must satisfy 0 < num/den < 1")
+    bad = [True, float(1 if least is None else least), "1"]
+    if name != "limit":
+        bad.append(None)
+    if least is not None:
+        bad += [least - 1, -(10**5000)]
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            take(value)
+
+
+def test_no_message_echoes_a_value():
+    """A refused value is named by its type, never by its repr, so a
+    5000-digit int gets the rule's message and not Python's limit on
+    converting an int to text."""
+    huge = 10**5000
+    for call, message in [
+        (lambda: start_slack(1, 3, huge), "cutoff must be a Threshold, got int"),
+        (lambda: Threshold(1, 2).step(0, huge), "outcome must be an Action, got int"),
+        (lambda: BeliefState(1, 3).update(huge), "outcome must be an Action, got int"),
+        (lambda: Strategy([(huge, 1)]), "run action must be an Action, got int"),
+        (lambda: Strategy([(S, -huge)]), "run count must be an integer >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 # one value per checked type, with a field, a value that field cannot take,
 # and the message its constructor gives for it
 CHECKED = [
     (Threshold(1, 2), "num", 5, "threshold must satisfy 0 < num/den < 1"),
-    (BeliefState(1, 3), "alpha0", 0, "prior pseudo-counts must be integers >= 1"),
-    (BeliefState(1, 3), "failures", True, "observation counts must be nonnegative"),
+    (BeliefState(1, 3), "alpha0", 0, "alpha0 must be an integer >= 1"),
+    (BeliefState(1, 3), "failures", True, "failures must be an integer >= 0"),
     (ProblemInstance(1, 3, 1, 0.5), "delta", 7.0, "delta must lie in [0, 1)"),
     (GuesserConfig(0.3, 7), "seed", True, "seed must be an integer"),
     (parse_strategy("ssfs(fs)*"), "cycle_runs", (), "cycle must contain at least one action"),
@@ -205,9 +278,9 @@ CHECKED_IDS = [f"{type(value).__name__}-{field}" for value, field, _, _ in CHECK
 @pytest.mark.parametrize("value, field, bad, message", CHECKED, ids=CHECKED_IDS)
 def test_make_and_replace_run_the_check(value, field, bad, message):
     items = [bad if name == field else item for name, item in zip(value._fields, value)]
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         type(value)._make(items)
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         value._replace(**{field: bad})
     assert type(value)._make(value) == value and value._replace() == value
 
@@ -217,7 +290,7 @@ def test_make_builds_through_the_constructor():
     assert x == Threshold(1, 2) and repr(x) == "Threshold(num=1, den=2)"
     assert Strategy._make([[(S, 2), (F, 0), (F, 1)], None]) == parse_strategy("ssf")
     assert Strategy._make([[], [(F, 1), (S, 1)]]) == parse_strategy("(fs)*")
-    with pytest.raises(ValueError, match="run action must be an Action, got 's'"):
+    with pytest.raises(ValueError, match="^run action must be an Action, got str$"):
         Strategy._make([[], [(F, 1), ("s", 1)]])
 
 
