@@ -20,8 +20,23 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
+# Most q, m, n or schedule length the closed forms price. The largest int
+# they turn into a float is h^3's crossing period, at most q + 2m + 2 <=
+# 3*10**307 + 2, below float max (about 1.8e308), so no conversion overflows.
+PRICE_LIMIT = 10**307
+
+
 class LimitExceededError(RuntimeError):
     """An input is beyond a hard size cap."""
+
+
+def check_cap(need: int, name: str, limit: int) -> None:
+    """Refuse work of size ``need`` over ``limit``: the one rule for a hard
+    size cap and the only code that raises ``LimitExceededError``. The
+    message names the cap and never formats ``need``, which may be past
+    float range or past the digits an int may print."""
+    if need > limit:
+        raise LimitExceededError(f"{name} must be at most {limit}")
 
 
 class Action(str, Enum):
@@ -151,8 +166,12 @@ def check_tol(tol: float, name: str, positive: bool = False) -> None:
 
 def split_slack(alpha0: int, beta0: int, m: int) -> tuple[int, int]:
     """(q, k) with ``start_slack`` at cutoff ``Threshold.from_m(m)`` equal to
-    m*q + k, 0 <= k < m; m and the prior are checked there."""
-    return divmod(start_slack(alpha0, beta0, Threshold.from_m(m)), m)
+    m*q + k, 0 <= k < m; m and the prior are checked there, and m and q
+    are then capped at ``PRICE_LIMIT``."""
+    q, k = divmod(start_slack(alpha0, beta0, Threshold.from_m(m)), m)
+    check_cap(m, "m", PRICE_LIMIT)
+    check_cap(q, "free successes q", PRICE_LIMIT)
+    return q, k
 
 
 class BeliefState(checked("BeliefState", "alpha0 beta0 successes failures")):

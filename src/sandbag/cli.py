@@ -12,18 +12,17 @@ column in one C call. Results go to stdout unless --out is given; an
 existing output file is refused without --force.
 
 Exit codes: 0 success, 2 usage or validation error or an --out path
-that cannot be written, 3 input over a hard cap, checked before the
-work starts:
-- more than ROW_LIMIT (100,000) rows: thresholds --n-max, simulate
-  --max-periods or a finite simulate --strategy word, sweep grid points;
-- a strategy word longer than WORD_LIMIT (10^7 actions) in solve, counted
-  from the member's runs before its text is built;
-- more than WORD_LIMIT actions in all of enumerate's words, h^1..h^N and
-  h^inf, summed from the walk before any word is built; as h^i has at
-  least i actions and h^inf's cycle den, this bounds rows and --c-den too;
-- an oracle horizon above 25 (exhaustive) or 500 (dp), a tree search
-  above 6,000,000 nodes, or value iteration above 5,000,000 estimated
-  state updates.
+that cannot be written, 3 input over a hard cap. ``belief.check_cap``
+checks each cap after the input rules and before the work, and prints
+"error: <name> must be at most <limit>" with one of these names:
+- --n-max, --max-periods, --strategy word length (a finite word plays to
+  its own length) and sweep grid points: ROW_LIMIT (100,000) rows;
+- strategy word length (solve) and total actions in all words (enumerate,
+  h^1..h^N and h^inf, which also bounds rows and --c-den): WORD_LIMIT
+  (10^7), counted from runs and the walk before any text is built;
+- exhaustive horizon (25), exhaustive tree nodes (6,000,000), dp horizon
+  (500), value iteration state updates (5,000,000, estimated);
+- m and free successes q (solve, sweep): belief.PRICE_LIMIT (10^307).
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ import sys
 from typing import Any, Sequence
 
 from . import __version__
-from .belief import LimitExceededError, Threshold, check_delta, check_int, check_tol, split_slack
+from .belief import LimitExceededError, Threshold, check_cap, check_delta, check_int, check_tol
+from .belief import split_slack
 from .payoff import ROOT_TOL, breakeven_discount, frontier_value, payoff
 from .solver import TIE_TOL, OptimalKind, ProblemInstance, classify, regime, root_pair
 from .strategy import format_strategy, frontier_strategy, parse_strategy
@@ -49,11 +49,6 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 ROW_LIMIT = 100_000  # most rows one command may produce
 WORD_LIMIT = 10**7  # most actions in one strategy word a command may print
-
-
-def _check_rows(what: str, rows: float) -> None:
-    if rows > ROW_LIMIT:
-        raise LimitExceededError(f"{what} would give {rows:.6g} rows, limit is {ROW_LIMIT}")
 
 
 def index_label(index) -> str:
@@ -148,9 +143,8 @@ def _cmd_solve(args) -> tuple[dict[str, Any], Table]:
     # three blocks of the walk at the cutoff 1/(m+1); only their text is long
     members = [frontier_strategy(args.alpha, args.beta, inst.threshold, i) for i in result.members]
     for x in members:
-        actions = sum(n for _, n in x.prefix_runs + (x.cycle_runs or ()))
-        if actions > WORD_LIMIT:
-            raise LimitExceededError(f"strategy word has {actions} actions, limit is {WORD_LIMIT}")
+        runs = x.prefix_runs + (x.cycle_runs or ())
+        check_cap(sum(n for _, n in runs), "strategy word length", WORD_LIMIT)
     rows = [
         {
             "kind": result.kind.value,
@@ -184,9 +178,7 @@ def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
             total = free + pad + 1 + c.den  # h^inf: its head and a cycle of den actions
         blocks.append((pos, free, pad))
         total += pos + free + 1  # h^i
-        if total > WORD_LIMIT:
-            raise LimitExceededError(f"h1..h{len(blocks)} and hinf have {total} actions, "
-                                     f"limit is {WORD_LIMIT}")
+        check_cap(total, "total actions in all words", WORD_LIMIT)
         if len(blocks) == args.max_index:
             break
     free, pad, counts = _infinite_parts(itertools.chain(blocks, walk), c)
@@ -236,7 +228,7 @@ def _cmd_oracle(args) -> tuple[dict[str, Any], Table]:
 
 def _cmd_thresholds(args) -> tuple[dict[str, Any], Table]:
     check_int(args.n_max, "--n-max", 1)
-    _check_rows("--n-max", args.n_max)
+    check_cap(args.n_max, "--n-max", ROW_LIMIT)
     roots = [breakeven_discount(n, tol=args.tol) for n in range(1, args.n_max + 1)]
     rows = [{"n": r.n, "z": r.z, "residual": r.residual} for r in roots]
     return {"roots": rows}, rows
@@ -248,11 +240,11 @@ def _cmd_simulate(args) -> tuple[dict[str, Any], Table]:
     c = Threshold(args.c_num, args.c_den)
     if (args.strategy is None) == (args.guesser_p is None):
         raise ValueError("exactly one of --strategy and --guesser-p is required")
-    _check_rows("--max-periods", args.max_periods)
+    check_cap(args.max_periods, "--max-periods", ROW_LIMIT)
     if args.strategy is not None:
         x = parse_strategy(args.strategy)
         if x.is_finite:  # a finite word plays to its own length
-            _check_rows("--strategy", x.length)
+            check_cap(x.length, "--strategy word length", ROW_LIMIT)
         traj = sim.play_strategy(args.alpha, args.beta, c, x, args.delta, args.max_periods)
         source: dict[str, Any] = {"strategy": args.strategy}
     else:
@@ -291,7 +283,7 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
     # most delta_max + 1.5e-12 (end tolerance plus rounding), so this bounds
     # the point count before any point is classified
     points = (args.delta_max - args.delta_min + 2e-12) / args.step + 1
-    _check_rows("the sweep grid", points)
+    check_cap(points, "sweep grid points", ROW_LIMIT)
     # one setup per grid: (q, k) and the roots hold for every point, and each
     # point lies in [0, delta_max], so within check_delta's range
     q, k = split_slack(args.alpha, args.beta, args.m)

@@ -22,8 +22,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .belief import Action, LimitExceededError, Threshold, start_slack
-from .belief import check_delta, check_int, check_tol
+from .belief import Action, Threshold, check_cap, check_delta, check_int, check_tol, start_slack
 
 EXHAUSTIVE_LIMIT = 25
 EXHAUSTIVE_WORK_LIMIT = 6_000_000  # most tree nodes one exhaustive_best may visit
@@ -51,15 +50,8 @@ def exhaustive_best(
     check_int(horizon, "horizon", 0)
     check_delta(delta)
     slack0 = start_slack(alpha0, beta0, c)
-    if horizon > EXHAUSTIVE_LIMIT:
-        raise LimitExceededError(
-            f"exhaustive search is limited to horizon <= {EXHAUSTIVE_LIMIT}"
-        )
-    nodes = _tree_nodes(slack0, c, horizon)
-    if nodes > EXHAUSTIVE_WORK_LIMIT:
-        raise LimitExceededError(
-            f"exhaustive search would visit {nodes} tree nodes, limit is {EXHAUSTIVE_WORK_LIMIT}"
-        )
+    check_cap(horizon, "exhaustive horizon", EXHAUSTIVE_LIMIT)
+    check_cap(_tree_nodes(slack0, c, horizon), "exhaustive tree nodes", EXHAUSTIVE_WORK_LIMIT)
     value, seq = _walk(slack0, c, delta, horizon)
     return OracleResult(value, seq, horizon)
 
@@ -127,8 +119,7 @@ def dp_value(alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int) 
     check_int(horizon, "horizon", 0)
     check_delta(delta)
     slack0 = start_slack(alpha0, beta0, c)
-    if horizon > DP_LIMIT:
-        raise LimitExceededError(f"dp oracle is limited to horizon <= {DP_LIMIT}")
+    check_cap(horizon, "dp horizon", DP_LIMIT)
     short = c.den - c.num
     values = [0.0] * (horizon + 1)  # layer `horizon`, indexed by successes
     for used in range(horizon - 1, -1, -1):
@@ -169,11 +160,7 @@ def value_iteration(
     sweeps = 1
     if delta > 0.0:
         sweeps = max(1, math.ceil((math.log(tol) + math.log1p(-delta)) / math.log(delta)))
-    work = (cap + 1) * sweeps
-    if work > VI_WORK_LIMIT:
-        raise LimitExceededError(
-            f"value iteration needs about {work:.3g} state updates, limit is {VI_WORK_LIMIT}"
-        )
+    check_cap((cap + 1) * sweeps, "value iteration state updates", VI_WORK_LIMIT)
     # a success from slack below `short` crosses and ends the game
     children = [(s - short if s >= short else cap + 1, min(s + c.num, cap)) for s in range(cap + 1)]
     w = [0.0] * (cap + 2)

@@ -24,7 +24,8 @@ import functools
 import math
 from typing import NamedTuple
 
-from .belief import Action, check_delta, check_int, check_tol, split_slack
+from .belief import PRICE_LIMIT, Action, check_cap, check_delta, check_int, check_tol
+from .belief import split_slack
 from .strategy import FamilyIndex, Run, Strategy, check_index
 
 _ULP_FLOOR = 1e-15  # bisection stops shrinking brackets below float spacing
@@ -58,8 +59,11 @@ def _price_runs(runs: tuple[Run, ...], delta: float, log_delta: float) -> tuple[
 
 
 def payoff(x: Strategy, delta: float) -> float:
-    """Expected discounted success count of a schedule; 0 <= delta < 1."""
+    """Expected discounted success count of a schedule; 0 <= delta < 1.
+    Its length, prefix plus one cycle, is capped at ``PRICE_LIMIT``."""
     check_delta(delta)
+    runs = x.prefix_runs + (x.cycle_runs or ())
+    check_cap(sum(n for _, n in runs), "strategy length", PRICE_LIMIT)
     log_delta = _log(delta)
     head, t = _price_runs(x.prefix_runs, delta, log_delta)
     if x.cycle_runs is None:
@@ -77,6 +81,7 @@ def breakeven_discount(n: int, tol: float = ROOT_TOL) -> BreakevenRoot:
     # True == 1, 2.0 == 2 and an IntEnum of 2 hash alike, so only a plain int may reach the cache
     check_int(n, "n", 1)
     check_tol(tol, "tol", positive=True)
+    check_cap(n, "n", PRICE_LIMIT)
     return _bisect(n, tol)
 
 

@@ -11,6 +11,7 @@ platforms for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -50,14 +51,8 @@ class GuesserConfig(checked("GuesserConfig", "p_true seed")):
         return super().__new__(cls, p_true, seed)
 
 
-def _run(
-    alpha0: int,
-    beta0: int,
-    c: Threshold,
-    action_source,
-    delta: float | None,
-    max_periods: int,
-) -> Trajectory:
+def _run(alpha0: int, beta0: int, c: Threshold, action_source, delta: float | None) -> Trajectory:
+    """Play a finite ``action_source`` until it crosses or runs out."""
     if delta is not None:
         check_delta(delta)
     slack = start_slack(alpha0, beta0, c)
@@ -78,8 +73,6 @@ def _run(
         if crossed:
             terminated = True
             break
-        if period >= max_periods:
-            break
     pay = None
     if delta is not None:
         pay = float(
@@ -98,14 +91,14 @@ def play_strategy(
 ) -> Trajectory:
     """Run a schedule forward until it crosses, runs out, or hits the cap.
 
-    A finite schedule must end on a crossing success; if it is exhausted
-    with the monitor still in the game, the schedule is incomplete and a
-    ValueError is raised. ``max_periods`` caps infinite schedules only,
-    which then stop with ``terminated`` False.
+    ``max_periods``, an int >= 1 for every schedule and checked first,
+    caps an infinite schedule, which then stops with ``terminated`` False.
+    A finite schedule plays to its own length, even past ``max_periods``,
+    and must end on a crossing success; if it is exhausted with the monitor
+    still in the game, the schedule is incomplete and a ValueError is raised.
     """
     check_int(max_periods, "max_periods", 1)
-    cap = x.length if x.is_finite else max_periods
-    traj = _run(alpha0, beta0, c, x.actions(limit=cap), delta, cap)
+    traj = _run(alpha0, beta0, c, x.actions(None if x.is_finite else max_periods), delta)
     if x.is_finite and not traj.terminated:
         raise ValueError("incomplete strategy: schedule ends before crossing the cutoff")
     return traj
@@ -127,4 +120,4 @@ def play_guesser(
         while True:
             yield Action.SUCCESS if rng.random() < guesser.p_true else Action.FAILURE
 
-    return _run(alpha0, beta0, c, draws(), delta, max_periods)
+    return _run(alpha0, beta0, c, itertools.islice(draws(), max_periods), delta)

@@ -4,10 +4,12 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -17,22 +19,31 @@ from hypothesis import strategies as st
 
 from sandbag import (
     Action,
+    LimitExceededError,
     OptimalKind,
     ProblemInstance,
+    Strategy,
     Threshold,
+    belief,
     breakeven_discount,
     classify,
     cli,
     format_strategy,
+    frontier_payoff,
     frontier_strategy,
+    oracle,
+    parse_strategy,
+    payoff,
 )
 from sandbag.belief import check_delta, check_tol, split_slack
 from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
-from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT, value_iteration
+from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT, dp_value, exhaustive_best
+from sandbag.oracle import value_iteration
 from sandbag.payoff import ROOT_TOL
 from sandbag.sim import GuesserConfig
 from sandbag.solver import TIE_TOL, root_pair
 
+pricing = importlib.import_module("sandbag.payoff")  # ``sandbag.payoff`` is the function
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -438,7 +449,7 @@ class TestSweep:
             capsys, "sweep", "--alpha", "1", "--beta", "3", "--m", "1",
             "--delta-min", "0.1", "--delta-max", "0.5", "--step", "1e-9",
         )
-        assert code == EXIT_LIMIT and "limit" in err and out == ""
+        assert (code, out, err) == (EXIT_LIMIT, "", "error: sweep grid points must be at most 100000\n")
 
     @pytest.mark.parametrize("delta_min", ["0", "-0.0", "1e-13"])
     def test_delta_min_rounding_to_zero_gives_a_zero_row(self, capsys, delta_min):
@@ -455,7 +466,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "grid, code, message",
         [
-            (("0.1", "0.5", "1e-9"), EXIT_LIMIT, "limit is 100000"),  # the cap first
+            (("0.1", "0.5", "1e-9"), EXIT_LIMIT, "sweep grid points must be at most 100000"),  # the cap first
             (("0.1", "0.5", "0.1"), EXIT_USAGE, "prior mean exceeds threshold"),
             (("1e-13", "0.5", "0.1"), EXIT_USAGE, "prior mean exceeds threshold"),
             (("0.5", "0.1", "1e-9"), EXIT_USAGE, "--delta-min < --delta-max"),
@@ -669,7 +680,7 @@ _CAPS = {
         ROW_LIMIT,
         ROW_LIMIT + 1,
     ),
-    # a finite word plays to its own length, whatever --max-periods says:
+    # a finite word plays to its own length, even past --max-periods:
     # v successes from Beta(1, v) at cutoff 1/2 cross on the last one
     "simulate-word-rows": (
         ["sandbag.sim.play_strategy"],
@@ -778,7 +789,8 @@ def test_solve_counts_each_word_from_the_walk(capsys, monkeypatch):
                 assert run(capsys, *argv)[0] == EXIT_OK
                 patch.setattr(cli, "WORD_LIMIT", n - 1)
                 code, out, err = run(capsys, *argv)
-            assert (code, out) == (EXIT_LIMIT, "") and f"strategy word has {n} actions" in err
+            assert (code, out, err) == (
+                EXIT_LIMIT, "", f"error: strategy word length must be at most {n - 1}\n")
 
 
 @pytest.mark.parametrize("case", _CAPS)
@@ -786,7 +798,7 @@ def test_just_over_cap_exits_3_before_work(capsys, monkeypatch, case):
     workers, argv_for, _, over = _CAPS[case]
     _patch_workers(monkeypatch, workers)
     code, out, err = run(capsys, *argv_for(over))
-    assert code == EXIT_LIMIT and "limit" in err and out == ""
+    assert code == EXIT_LIMIT and " must be at most " in err and out == ""
 
 
 @pytest.mark.parametrize("case", _CAPS)
@@ -795,6 +807,154 @@ def test_cap_admits_its_limit(monkeypatch, case):
     _patch_workers(monkeypatch, workers)
     with pytest.raises(AssertionError, match="worker called"):
         main(list(argv_for(at)))
+
+
+_C_HALF = Threshold(1, 2)
+_ORACLE = ("oracle", *_PRIOR_CUTOFF, "--delta", "0.5", "--mode")
+
+# Every hard cap, one row each: the module that reads the limit, the limit's
+# name, the least limit that admits the row's input (None for an input from
+# a bug report, run at the real limit), the cap's name in its message, and
+# the input as a library call and as a CLI argv (None where there is none).
+_EVERY_CAP = {
+    "thresholds --n-max": (cli, "ROW_LIMIT", 4, "--n-max", None, ("thresholds", "--n-max", "4")),
+    "simulate --max-periods": (
+        cli, "ROW_LIMIT", 4, "--max-periods", None,
+        ("simulate", *_PRIOR_CUTOFF, "--strategy", "(ffs)*", "--max-periods", "4"),
+    ),
+    "simulate --guesser-p --max-periods": (
+        cli, "ROW_LIMIT", 4, "--max-periods", None,
+        ("simulate", *_PRIOR_CUTOFF, "--guesser-p", "0", "--seed", "1", "--max-periods", "4"),
+    ),
+    "simulate --strategy word": (
+        cli, "ROW_LIMIT", 3, "--strategy word length", None,
+        ("simulate", *_PRIOR_CUTOFF, "--strategy", "sss", "--max-periods", "1"),
+    ),
+    # 5 points, estimated as 5.5 before the grid is built, so 6 is the least limit
+    "sweep grid": (
+        cli, "ROW_LIMIT", 6, "sweep grid points", None,
+        ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0.1",
+         "--delta-max", "0.55", "--step", "0.1"),
+    ),
+    "solve word": (
+        cli, "WORD_LIMIT", 3, "strategy word length", None,
+        ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0.5"),
+    ),
+    # h^1 = sss and h^inf = ss(fs)*
+    "enumerate words": (
+        cli, "WORD_LIMIT", 9, "total actions in all words", None,
+        ("enumerate", *_PRIOR_CUTOFF, "--max-index", "1"),
+    ),
+    "exhaustive horizon": (
+        oracle, "EXHAUSTIVE_LIMIT", 3, "exhaustive horizon",
+        lambda: exhaustive_best(1, 3, _C_HALF, 0.5, 3), (*_ORACLE, "exhaustive", "--horizon", "3"),
+    ),
+    # no success crosses from Beta(1, 100) within 3 periods: a full tree
+    "exhaustive tree nodes": (
+        oracle, "EXHAUSTIVE_WORK_LIMIT", 15, "exhaustive tree nodes",
+        lambda: exhaustive_best(1, 100, _C_HALF, 0.5, 3),
+        ("oracle", "--alpha", "1", "--beta", "100", "--c-num", "1", "--c-den", "2",
+         "--delta", "0.5", "--mode", "exhaustive", "--horizon", "3"),
+    ),
+    "dp horizon": (
+        oracle, "DP_LIMIT", 4, "dp horizon",
+        lambda: dp_value(1, 3, _C_HALF, 0.5, 4), (*_ORACLE, "dp", "--horizon", "4"),
+    ),
+    # 4 slack states times 35 sweeps, at delta 0.5 and tol 1e-10
+    "value iteration work": (
+        oracle, "VI_WORK_LIMIT", 140, "value iteration state updates",
+        lambda: value_iteration(1, 3, _C_HALF, 0.5), (*_ORACLE, "vi"),
+    ),
+    "m": (
+        belief, "PRICE_LIMIT", 4, "m",
+        lambda: ProblemInstance(1, 4, 4, 0.5),
+        ("solve", "--alpha", "1", "--beta", "4", "--m", "4", "--delta", "0.5"),
+    ),
+    "q in solve": (
+        belief, "PRICE_LIMIT", 4, "free successes q",
+        lambda: frontier_payoff(1, 5, 1, 1, 0.5),
+        ("solve", "--alpha", "1", "--beta", "5", "--m", "1", "--delta", "0.5"),
+    ),
+    "q in sweep": (
+        belief, "PRICE_LIMIT", 4, "free successes q",
+        lambda: split_slack(1, 5, 1),
+        ("sweep", "--alpha", "1", "--beta", "5", "--m", "1", "--delta-min", "0.1",
+         "--delta-max", "0.5", "--step", "0.1"),
+    ),
+    "breakeven n": (
+        pricing, "PRICE_LIMIT", 4, "n", lambda: breakeven_discount(4), ("thresholds", "--n-max", "4"),
+    ),
+    # a prefix of 4 and one cycle of 2
+    "strategy length": (
+        pricing, "PRICE_LIMIT", 6, "strategy length",
+        lambda: payoff(parse_strategy("ssfs(fs)*"), 0.5),
+        ("evaluate", "--strategy", "ssfs(fs)*", "--delta", "0.5"),
+    ),
+    # inputs that once crashed with an OverflowError (exit 1) or exited 2 with
+    # CPython's limit on printing an int of more than 4300 digits
+    "thresholds --n-max, 4000 digits": (
+        cli, "ROW_LIMIT", None, "--n-max", None, ("thresholds", "--n-max", "9" * 4000),
+    ),
+    "simulate --max-periods, 4000 digits": (
+        cli, "ROW_LIMIT", None, "--max-periods", None,
+        ("simulate", *_PRIOR_CUTOFF, "--strategy", "(ffs)*", "--max-periods", "9" * 4000),
+    ),
+    "oracle vi --beta, 400 digits": (
+        oracle, "VI_WORK_LIMIT", None, "value iteration state updates",
+        lambda: value_iteration(1, 10**400 - 1, _C_HALF, 0.5),
+        ("oracle", "--alpha", "1", "--beta", "9" * 400, "--c-num", "1", "--c-den", "2",
+         "--delta", "0.5", "--mode", "vi"),
+    ),
+    "enumerate --beta, 4299 digits": (
+        cli, "WORD_LIMIT", None, "total actions in all words", None,
+        ("enumerate", "--alpha", "1", "--beta", "9" * 4299, "--c-num", "9", "--c-den", "10",
+         "--max-index", "1"),
+    ),
+    "solve --beta 10**400": (
+        belief, "PRICE_LIMIT", None, "free successes q",
+        lambda: ProblemInstance(1, 10**400, 1, 0.5),
+        ("solve", "--alpha", "1", "--beta", str(10**400), "--m", "1", "--delta", "0.5"),
+    ),
+    "sweep --beta 10**400": (
+        belief, "PRICE_LIMIT", None, "free successes q",
+        lambda: frontier_payoff(1, 10**400, 1, math.inf, 0.5),
+        ("sweep", "--alpha", "1", "--beta", str(10**400), "--m", "1", "--delta-min", "0.1",
+         "--delta-max", "0.5", "--step", "0.1"),
+    ),
+    "solve --m 10**400": (
+        belief, "PRICE_LIMIT", None, "m",
+        lambda: split_slack(1, 10**401, 10**400),
+        ("solve", "--alpha", "1", "--beta", str(10**401), "--m", str(10**400), "--delta", "0.5"),
+    ),
+    "breakeven n 10**400": (
+        pricing, "PRICE_LIMIT", None, "n", lambda: breakeven_discount(10**400), None,
+    ),
+    "payoff of a run of 10**308": (
+        pricing, "PRICE_LIMIT", None, "strategy length",
+        lambda: payoff(Strategy([(Action.SUCCESS, 10**308)]), 0.5), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _EVERY_CAP)
+def test_every_cap_admits_its_limit_and_refuses_one_more(capsys, monkeypatch, case):
+    """A cap admits need == limit; over it the library raises, and the CLI
+    exits 3 with one line, "<name> must be at most <limit>", and no output."""
+    module, constant, least, name, call, argv = _EVERY_CAP[case]
+    if least is not None:
+        monkeypatch.setattr(module, constant, least)
+        if call is not None:
+            call()
+        if argv is not None:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (EXIT_OK, "") and out
+        monkeypatch.setattr(module, constant, least - 1)
+    message = f"{name} must be at most {getattr(module, constant)}"
+    if call is not None:
+        with pytest.raises(LimitExceededError, match=f"^{re.escape(message)}$"):
+            call()
+    if argv is not None:
+        assert run(capsys, *argv) == (EXIT_LIMIT, "", f"error: {message}\n")
 
 
 class TestOutputHandling:

@@ -1,9 +1,9 @@
 """Guards on the package's footprint: a stdlib-only import, runnable demos,
 one module deciding whether a prior starts within the cutoff and one door
-from a prior to a walk's slack, one rule for a delta, one for a step or
-tolerance and one for an integer input, no unused imports, one walk for
-the frontier family, one regime rule and one closed form for its members,
-enumerate printing its words without a Strategy, one
+from a prior to a walk's slack, one rule for a hard cap, one for a delta,
+one for a step or tolerance and one for an integer input, no unused
+imports, one walk for the frontier family, one regime rule and one closed
+form for its members, enumerate printing its words without a Strategy, one
 slotted base for the checked value types, one Strategy constructor, and each
 CLI command importing only the modules it runs."""
 
@@ -82,6 +82,36 @@ def test_one_door_from_a_prior_to_the_slack():
     assert ranges == {("belief.py", "__new__")}
     assert m_rules == {("belief.py", "from_m", "check_int(m, 'm', 1)")}
     assert not hasattr(belief, "check_m")
+
+
+def test_one_rule_for_a_hard_cap():
+    """``check_cap`` is the only code that builds a ``LimitExceededError``,
+    and every call of it names its cap with a constant string: no cap
+    message formats the count it refuses, and ``cli._check_rows`` is gone."""
+    from sandbag import cli
+
+    makers, names = [], set()
+    for p in sorted((ROOT / "src" / "sandbag").glob("*.py")):
+        tree = ast.parse(p.read_text())
+        owner = {}  # node -> its innermost enclosing function, as ast.walk is breadth first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                made = ast.unparse(node.func)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                made = ast.unparse(node.exc)  # a bare class, raised without a call
+            else:
+                continue
+            if made.split(".")[-1] == "LimitExceededError":
+                makers.append((p.name, owner.get(node)))
+            if made == "check_cap":
+                assert len(node.args) == 3 and not node.keywords, (p.name, node.lineno)
+                names.add(type(node.args[1]).__name__)
+    assert makers == [("belief.py", "check_cap")]
+    assert names == {"Constant"}
+    assert not hasattr(cli, "_check_rows")
 
 
 def test_one_rule_for_delta_steps_and_tolerances():
