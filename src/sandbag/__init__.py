@@ -11,7 +11,9 @@ The value types are namedtuples. ``Threshold``, ``BeliefState``, ``Strategy``,
 ``ProblemInstance`` and ``GuesserConfig`` derive from ``belief.checked``: every
 way of building one runs its check, and each equals only its own type. Names
 from ``oracle`` and ``sim`` resolve on first use, so ``import sandbag`` runs
-neither, nor imports ``fractions``.
+neither, nor imports ``fractions``. A ``TrajectoryRecord`` holds its posterior
+mean as the coprime ints ``mean_num`` and ``mean_den``; its ``posterior_mean``
+property builds the ``Fraction`` when read.
 """
 
 import importlib

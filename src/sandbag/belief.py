@@ -20,9 +20,11 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-# Most q, m, n or schedule length the closed forms price. The largest int
-# they turn into a float is h^3's crossing period, at most q + 2m + 2 <=
-# 3*10**307 + 2, below float max (about 1.8e308), so no conversion overflows.
+# Most q, m, n, schedule length or member crossing period the closed forms
+# price. With q and m capped, the largest int that h^1..h^3 and h^inf turn
+# into a float is h^3's crossing period, at most q + 2m + 2 <= 3*10**307 + 2,
+# below float max (about 1.8e308); ``frontier_payoff`` caps a later
+# member's crossing period itself, so no conversion overflows.
 PRICE_LIMIT = 10**307
 
 

@@ -257,8 +257,8 @@ def _cmd_simulate(args) -> tuple[dict[str, Any], Table]:
         {
             "period": r.period,
             "action": r.action.value,
-            "mean_num": r.posterior_mean.numerator,
-            "mean_den": r.posterior_mean.denominator,
+            "mean_num": r.mean_num,
+            "mean_den": r.mean_den,
             "crossed": r.crossed,
         }
         for r in traj.records
@@ -280,16 +280,17 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
     if not args.delta_min < args.delta_max:
         raise ValueError("need --delta-min < --delta-max")
     # a grid point passes the test below only if delta_min + i*step is at
-    # most delta_max + 1.5e-12 (end tolerance plus rounding), so this bounds
-    # the point count before any point is classified
-    points = (args.delta_max - args.delta_min + 2e-12) / args.step + 1
+    # most delta_max + 1.5e-12 (end tolerance plus rounding), so the loop's
+    # count bounds the points before any point is classified; the min keeps
+    # int() finite when a subnormal step sends the estimate to inf
+    points = int(min((args.delta_max - args.delta_min + 2e-12) / args.step + 1, ROW_LIMIT + 1))
     check_cap(points, "sweep grid points", ROW_LIMIT)
     # one setup per grid: (q, k) and the roots hold for every point, and each
     # point lies in [0, delta_max], so within check_delta's range
     q, k = split_slack(args.alpha, args.beta, args.m)
     z_low, z_high = root_pair(args.m, k)
     rows = []
-    for i in range(int(points)):
+    for i in range(points):
         # index-based grid avoids compounding float error across steps; the
         # round keeps grid points like 0.55 + 0.05 from printing as 0.600...01
         delta = round(args.delta_min + i * args.step, 12)

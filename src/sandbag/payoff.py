@@ -115,12 +115,15 @@ def frontier_payoff(
     member h^i (i >= 2) earns its successes at periods 1..q, then at
     P + (m+1)*j for j = 0..i-2 with P = q + (m-k) + 1, then crosses one
     period after the last of those. h^1 stops at period q + 1; h^inf
-    keeps the periodic earnings forever. The checks are here; the sum is
+    keeps the periodic earnings forever. The checks are here, h^i's
+    crossing period capped at ``PRICE_LIMIT``; the sum is
     ``frontier_value``'s, which a caller that has (q, k) can price with.
     """
     check_index(index)
     check_delta(delta)
     q, k = split_slack(alpha0, beta0, m)
+    if 2 <= index < math.inf:  # h^1 crosses at q + 1, within q's cap
+        check_cap(q + (m - k) + 1 + (m + 1) * (index - 2), "crossing period", PRICE_LIMIT)
     return frontier_value(q, k, m, index, delta)
 
 

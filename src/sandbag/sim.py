@@ -3,7 +3,10 @@
 Runs a schedule (or a coin-flipping stand-in for the player) forward,
 recording the exact posterior mean each period and stopping the moment
 the cutoff is strictly exceeded. The crossing test is the integer slack
-of ``belief``, stepped once per period. Randomness comes from
+of ``belief``, stepped once per period. Each record holds its mean as
+two coprime ints, ``mean_num`` and ``mean_den``; its ``posterior_mean``
+property builds the equal ``Fraction`` when read, so a replay imports
+``fractions`` only if a caller asks for one. Randomness comes from
 ``random.Random(seed)`` with one ``random()`` draw per period compared
 against ``p_true``, so trajectories are reproducible across runs and
 platforms for a fixed seed.
@@ -12,19 +15,30 @@ platforms for a fixed seed.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .belief import Action, Threshold, check_delta, check_int, checked, is_real, start_slack
 from .strategy import Strategy
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class TrajectoryRecord(NamedTuple):
     period: int  # 1-based
     action: Action
-    posterior_mean: Fraction  # mean after observing the action
+    mean_num: int  # mean after observing the action, mean_num/mean_den in lowest terms
+    mean_den: int
     crossed: bool
+
+    @property
+    def posterior_mean(self) -> Fraction:
+        """The exact posterior mean, ``mean_num/mean_den``."""
+        from fractions import Fraction
+
+        return Fraction(self.mean_num, self.mean_den)
 
 
 class Trajectory(NamedTuple):
@@ -56,28 +70,31 @@ def _run(alpha0: int, beta0: int, c: Threshold, action_source, delta: float | No
     if delta is not None:
         check_delta(delta)
     slack = start_slack(alpha0, beta0, c)
-    # the slack automaton of Threshold.step, inlined, plus the posterior counts
+    # the slack automaton of Threshold.step, inlined, plus the posterior
+    # counts: a = alpha0 + successes and n = alpha0 + beta0 + periods
     gain, short = c.num, c.den - c.num
-    a, b = alpha0, beta0
+    a, n = alpha0, alpha0 + beta0
+    # tuple.__new__ builds each record without the namedtuple's Python-level
+    # __new__; the five fields are written in order below
+    gcd, new, success = math.gcd, tuple.__new__, Action.SUCCESS
     records: list[TrajectoryRecord] = []
     terminated = False
     for period, action in enumerate(action_source, start=1):
-        if action is Action.SUCCESS:
+        n += 1
+        if action is success:
             a += 1
             slack -= short
         else:
-            b += 1
             slack += gain
         crossed = slack < 0
-        records.append(TrajectoryRecord(period, action, Fraction(a, a + b), crossed))
+        g = gcd(a, n)
+        records.append(new(TrajectoryRecord, (period, action, a // g, n // g, crossed)))
         if crossed:
             terminated = True
             break
     pay = None
     if delta is not None:
-        pay = float(
-            sum(delta ** (r.period - 1) for r in records if r.action is Action.SUCCESS)
-        )
+        pay = float(sum(delta ** (r.period - 1) for r in records if r.action is success))
     return Trajectory(tuple(records), terminated, pay)
 
 
@@ -114,10 +131,10 @@ def play_guesser(
 ) -> Trajectory:
     """Run an i.i.d. success/failure source until crossing or the cap."""
     check_int(max_periods, "max_periods", 1)
-    rng = random.Random(guesser.seed)
+    draw, p_true = random.Random(guesser.seed).random, guesser.p_true
 
     def draws():
         while True:
-            yield Action.SUCCESS if rng.random() < guesser.p_true else Action.FAILURE
+            yield Action.SUCCESS if draw() < p_true else Action.FAILURE
 
     return _run(alpha0, beta0, c, itertools.islice(draws(), max_periods), delta)

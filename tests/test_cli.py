@@ -830,11 +830,22 @@ _EVERY_CAP = {
         cli, "ROW_LIMIT", 3, "--strategy word length", None,
         ("simulate", *_PRIOR_CUTOFF, "--strategy", "sss", "--max-periods", "1"),
     ),
-    # 5 points, estimated as 5.5 before the grid is built, so 6 is the least limit
+    # 5 points, estimated as 5.5 before the grid is built; the loop runs 5 times
     "sweep grid": (
-        cli, "ROW_LIMIT", 6, "sweep grid points", None,
+        cli, "ROW_LIMIT", 5, "sweep grid points", None,
         ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0.1",
          "--delta-max", "0.55", "--step", "0.1"),
+    ),
+    # the real limit: 100,000 points, estimated as 100000.0000002
+    "sweep grid at ROW_LIMIT": (
+        cli, "ROW_LIMIT", 100_000, "sweep grid points", None,
+        ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0",
+         "--delta-max", "0.99999", "--step", "0.00001"),
+    ),
+    "sweep grid at ROW_LIMIT + 1": (
+        cli, "ROW_LIMIT", None, "sweep grid points", None,
+        ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0",
+         "--delta-max", "0.99999", "--step", "0.0000099999"),
     ),
     "solve word": (
         cli, "WORD_LIMIT", 3, "strategy word length", None,
@@ -880,6 +891,10 @@ _EVERY_CAP = {
         lambda: split_slack(1, 5, 1),
         ("sweep", "--alpha", "1", "--beta", "5", "--m", "1", "--delta-min", "0.1",
          "--delta-max", "0.5", "--step", "0.1"),
+    ),
+    # h^3 of Beta(1, 3) at cutoff 1/2 crosses at period 6
+    "crossing period": (
+        pricing, "PRICE_LIMIT", 6, "crossing period", lambda: frontier_payoff(1, 3, 1, 3, 0.5), None,
     ),
     "breakeven n": (
         pricing, "PRICE_LIMIT", 4, "n", lambda: breakeven_discount(4), ("thresholds", "--n-max", "4"),
@@ -928,6 +943,16 @@ _EVERY_CAP = {
     ),
     "breakeven n 10**400": (
         pricing, "PRICE_LIMIT", None, "n", lambda: breakeven_discount(10**400), None,
+    ),
+    # the grid estimate of a subnormal step is inf, past int()'s range
+    "sweep --step 5e-324": (
+        cli, "ROW_LIMIT", None, "sweep grid points", None,
+        ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0",
+         "--delta-max", "0.5", "--step", "5e-324"),
+    ),
+    "frontier_payoff h^(10**308)": (
+        pricing, "PRICE_LIMIT", None, "crossing period",
+        lambda: frontier_payoff(1, 3, 1, 10**308, 0.5), None,
     ),
     "payoff of a run of 10**308": (
         pricing, "PRICE_LIMIT", None, "strategy length",

@@ -197,6 +197,37 @@ def test_module_uses_every_name_it_imports(module):
     assert not imported - read, sorted(imported - read)
 
 
+def test_sim_builds_no_fraction_on_the_replay_path():
+    """``sim`` names ``Fraction`` only in ``TrajectoryRecord.posterior_mean``,
+    which imports it when read; the type-checking import aside, no other
+    code in the module reaches ``fractions``."""
+    tree = ast.parse((ROOT / "src" / "sandbag" / "sim.py").read_text())
+    owner = {}  # node -> its innermost enclosing function, as ast.walk is breadth first
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    checking = {
+        node
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+    uses = [
+        (owner.get(node), node in checking)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    assert sorted(uses, key=str) == [
+        ("posterior_mean", False),  # -> Fraction
+        ("posterior_mean", False),  # from fractions import Fraction
+        ("posterior_mean", False),  # Fraction(self.mean_num, self.mean_den)
+        (None, True),  # from fractions import Fraction, for the annotation only
+    ]
+
+
 def test_only_the_generator_walks_the_family():
     """The padding rule and the block division (slack by den - num) are
     called in one function, the frontier family's walk; the only other
@@ -221,13 +252,23 @@ def test_one_regime_rule_and_one_closed_form():
     """The tie-band comparisons ``abs(delta - z) <= tie_tol`` sit in
     ``solver.regime`` alone and the frontier family's closed form (its
     (m + 1)-period geometric terms) in ``payoff.frontier_value`` alone;
-    ``classify``, ``frontier_payoff`` and ``sweep`` call them."""
+    ``classify``, ``frontier_payoff`` and ``sweep`` call them. The integer
+    bound inside a ``check_cap`` call (``frontier_payoff`` caps h^i's
+    crossing period) prices nothing, so it is not searched."""
     bands, forms = set(), set()
     for p in sorted((ROOT / "src" / "sandbag").glob("*.py")):
         for fn in ast.walk(ast.parse(p.read_text())):
             if not isinstance(fn, ast.FunctionDef):
                 continue
+            capped = {
+                id(x)
+                for call in ast.walk(fn)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "check_cap"
+                for x in ast.walk(call)
+            }
             for node in ast.walk(fn):
+                if id(node) in capped:
+                    continue
                 if (
                     isinstance(node, ast.Compare)
                     and isinstance(node.left, ast.Call)
@@ -368,7 +409,9 @@ def test_strategy_has_one_constructor():
 
 
 # one small argv per command; which of the watched modules each may load
-_WATCHED = ("dataclasses", "inspect", "sandbag.oracle", "sandbag.sim", "fractions", "random", "csv")
+_WATCHED = (
+    "dataclasses", "inspect", "sandbag.oracle", "sandbag.sim", "fractions", "decimal", "random", "csv"
+)
 _PRIOR = ["--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2"]
 _FOOTPRINTS = {
     "solve": (["solve", "--alpha", "1", "--beta", "5", "--m", "2", "--delta", "0.7"], set()),
@@ -378,7 +421,7 @@ _FOOTPRINTS = {
     "thresholds": (["thresholds", "--n-max", "3"], set()),
     "simulate": (
         ["simulate", *_PRIOR, "--guesser-p", "0.5", "--seed", "1", "--max-periods", "5"],
-        {"sandbag.sim", "fractions", "random"},
+        {"sandbag.sim", "random"},
     ),
     "sweep": (
         ["sweep", "--alpha", "1", "--beta", "5", "--m", "2", "--delta-min", "0.5",

@@ -1,9 +1,13 @@
 """Trajectory playback: fixed schedules and seeded guessers."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandbag import (
     Action,
@@ -153,3 +157,63 @@ class TestPlayGuesser:
             0.9 ** (r.period - 1) for r in traj.records if r.action is Action.SUCCESS
         )
         assert traj.discounted_payoff == pytest.approx(want, abs=1e-15)
+
+
+@st.composite
+def _replays(draw):
+    """A prior within a cutoff of den <= 12, and a source: a finite word
+    (padded with successes until it must cross), h^1, h^2 or h^inf, or a
+    seeded guesser."""
+    den = draw(st.integers(2, 12))
+    c = Threshold(draw(st.integers(1, den - 1)), den)
+    alpha0 = draw(st.integers(1, 20))
+    beta0 = -(-(c.den - c.num) * alpha0 // c.num) + draw(st.integers(0, 30))
+    max_periods = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["word", 1, 2, math.inf, "guesser"]))
+    if kind == "guesser":
+        cfg = GuesserConfig(draw(st.floats(0, 1)), draw(st.integers(0, 2**32)))
+        return alpha0, beta0, c, cfg, max_periods
+    if kind == "word":
+        word = draw(st.text("sf", max_size=40))
+        slack = c.num * beta0 - (c.den - c.num) * alpha0 + c.num * len(word)
+        x = parse_strategy(word + "s" * (slack // (c.den - c.num) + 1))
+    else:
+        x = frontier_strategy(alpha0, beta0, c, kind)
+    return alpha0, beta0, c, x, max_periods
+
+
+def _source(x, max_periods):
+    """The actions a replay reads, expanded from the runs or drawn afresh."""
+    if isinstance(x, GuesserConfig):
+        rng = random.Random(x.seed)
+        draws = (Action.SUCCESS if rng.random() < x.p_true else Action.FAILURE for _ in itertools.count())
+        return itertools.islice(draws, max_periods)
+    prefix = [a for a, n in x.prefix_runs for _ in range(n)]
+    if x.cycle_runs is None:
+        return prefix
+    cycle = [a for a, n in x.cycle_runs for _ in range(n)]
+    return itertools.islice(itertools.chain(prefix, itertools.cycle(cycle)), max_periods)
+
+
+@settings(derandomize=True, max_examples=350, deadline=None)  # about 1 s
+@given(_replays())
+def test_records_equal_a_per_period_fraction_replay(case):
+    """Every record is the mean Fraction(a0 + S_t, a0 + b0 + t) after period
+    t, kept as coprime ints, and ``crossed`` is that mean's strict test
+    against c: set once, on the last record, exactly when the run ends."""
+    alpha0, beta0, c, x, max_periods = case
+    play = play_guesser if isinstance(x, GuesserConfig) else play_strategy
+    traj = play(alpha0, beta0, c, x, max_periods=max_periods)
+    want, successes = [], 0
+    for t, action in enumerate(_source(x, max_periods), start=1):
+        successes += action is Action.SUCCESS
+        mean = Fraction(alpha0 + successes, alpha0 + beta0 + t)
+        want.append((t, action, mean, mean > Fraction(c.num, c.den)))
+        if want[-1][3]:
+            break
+    assert [(r.period, r.action, r.posterior_mean, r.crossed) for r in traj.records] == want
+    for r in traj.records:
+        assert math.gcd(r.mean_num, r.mean_den) == 1
+        assert r.posterior_mean == Fraction(r.mean_num, r.mean_den)
+    crossed = [r.crossed for r in traj.records]
+    assert crossed == [False] * (len(crossed) - 1) + [traj.terminated]

@@ -42,7 +42,7 @@ from sandbag.belief import start_slack
 
 S, F = Action.SUCCESS, Action.FAILURE
 _OPTIMAL = OptimalSet(OptimalKind.UNIQUE, (2,), 0.5, 0.75, {2: 1.5})
-_RECORD = TrajectoryRecord(1, S, Fraction(2, 5), False)
+_RECORD = TrajectoryRecord(1, S, 2, 5, False)
 
 # one value per type, with its repr as the package has always printed it
 SAMPLES = [
@@ -74,12 +74,12 @@ SAMPLES = [
     (
         _RECORD,
         "TrajectoryRecord(period=1, action=<Action.SUCCESS: 's'>, "
-        "posterior_mean=Fraction(2, 5), crossed=False)",
+        "mean_num=2, mean_den=5, crossed=False)",
     ),
     (
         Trajectory((_RECORD,), False, None),
         "Trajectory(records=(TrajectoryRecord(period=1, action=<Action.SUCCESS: 's'>, "
-        "posterior_mean=Fraction(2, 5), crossed=False),), terminated=False, "
+        "mean_num=2, mean_den=5, crossed=False),), terminated=False, "
         "discounted_payoff=None)",
     ),
     (GuesserConfig(0.3, 7), "GuesserConfig(p_true=0.3, seed=7)"),
@@ -107,6 +107,14 @@ def test_strategy_expansions_are_read_only():
     with pytest.raises(AttributeError):
         x.prefix = ()
     assert x.prefix == (S, S, F, S)
+
+
+def test_record_mean_is_a_read_only_fraction():
+    assert _RECORD.posterior_mean == Fraction(2, 5)
+    assert type(_RECORD.posterior_mean) is Fraction
+    with pytest.raises(AttributeError):
+        _RECORD.posterior_mean = Fraction(1, 2)
+    assert _RECORD == (1, S, 2, 5, False)
 
 
 def test_strategy_pickles_the_same_after_its_expansions_are_read():
