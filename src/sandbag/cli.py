@@ -11,6 +11,14 @@ template per key set, its constant columns encoded once and each other
 column in one C call. Results go to stdout unless --out is given; an
 existing output file is refused without --force.
 
+``build_parser`` makes the root and all seven subcommand parsers with
+their help lines on every call, with no cache; a subcommand's parser
+adds its own arguments when it first parses, so a command line builds
+only the arguments of the command it names. ``sweep`` builds its delta
+grid as a column, groups its points into runs of one ``solver.regime``
+answer, and prices each run by one ``payoff.frontier_value`` call per
+member over the whole run.
+
 Exit codes: 0 success, 2 usage or validation error or an --out path
 that cannot be written, 3 input over a hard cap. ``belief.check_cap``
 checks each cap after the input rules and before the work, and prints
@@ -71,33 +79,25 @@ def _add_cutoff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-den", type=int, required=True, help="cutoff denominator")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
-        prog="sandbag",
-        description="Optimal failure scheduling against a Beta-Bernoulli monitor",
-    )
-    root.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = root.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="classify the optimal family member")
+def _solve_args(p: argparse.ArgumentParser) -> None:
     _add_prior_args(p)
     p.add_argument("--m", type=int, required=True, help="cutoff is 1/(m+1)")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--tie-tol", type=float, default=TIE_TOL)
-    _add_output_args(p)
 
-    p = sub.add_parser("enumerate", help="list frontier family members")
+
+def _enumerate_args(p: argparse.ArgumentParser) -> None:
     _add_prior_args(p)
     _add_cutoff_args(p)
     p.add_argument("--max-index", type=int, required=True)
-    _add_output_args(p)
 
-    p = sub.add_parser("evaluate", help="discounted payoff of a strategy string")
+
+def _evaluate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", required=True, help='e.g. "ssfss" or "ssfs(fs)*"')
     p.add_argument("--delta", type=float, required=True)
-    _add_output_args(p)
 
-    p = sub.add_parser("oracle", help="brute-force or DP value of the game")
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
     _add_prior_args(p)
     _add_cutoff_args(p)
     p.add_argument("--delta", type=float, required=True)
@@ -105,14 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, help="required for exhaustive and dp modes")
     # value_iteration's default, written out so that parsing loads no oracle
     p.add_argument("--tol", type=float, default=1e-10, help="vi stopping tolerance")
-    _add_output_args(p)
 
-    p = sub.add_parser("thresholds", help="breakeven discount roots z(1)..z(n)")
+
+def _thresholds_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--tol", type=float, default=ROOT_TOL)
-    _add_output_args(p)
 
-    p = sub.add_parser("simulate", help="play a schedule or an i.i.d. guesser forward")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     _add_prior_args(p)
     _add_cutoff_args(p)
     p.add_argument("--strategy", help="fixed schedule to play")
@@ -120,16 +120,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="RNG seed (required with --guesser-p)")
     p.add_argument("--max-periods", type=int, required=True)
     p.add_argument("--delta", type=float, help="also report the discounted payoff")
-    _add_output_args(p)
 
-    p = sub.add_parser("sweep", help="classify across a grid of discount factors")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_prior_args(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta-min", type=float, required=True)
     p.add_argument("--delta-max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    _add_output_args(p)
 
+
+# each subcommand: its help line and what adds its own arguments
+_COMMANDS = {
+    "solve": ("classify the optimal family member", _solve_args),
+    "enumerate": ("list frontier family members", _enumerate_args),
+    "evaluate": ("discounted payoff of a strategy string", _evaluate_args),
+    "oracle": ("brute-force or DP value of the game", _oracle_args),
+    "thresholds": ("breakeven discount roots z(1)..z(n)", _thresholds_args),
+    "simulate": ("play a schedule or an i.i.d. guesser forward", _simulate_args),
+    "sweep": ("classify across a grid of discount factors", _sweep_args),
+}
+
+
+class _LazyParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its own arguments and the output
+    flags when it first parses: a command line builds the arguments of the
+    one command it names."""
+
+    def __init__(self, *args, build, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    # argparse's subparsers action hands a subcommand's arguments to this
+    # public method (CPython 3.10 to 3.13); should a release parse through a
+    # private helper instead, test_bare_command_names_every_required_flag fails
+    def parse_known_args(self, args=None, namespace=None):
+        if self._build is not None:
+            self._build(self)
+            _add_output_args(self)
+            self._build = None
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for every subcommand; each adds its arguments on use."""
+    root = argparse.ArgumentParser(
+        prog="sandbag",
+        description="Optimal failure scheduling against a Beta-Bernoulli monitor",
+    )
+    root.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = root.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
+    for name, (text, build) in _COMMANDS.items():
+        sub.add_parser(name, help=text, build=build)
     return root
 
 
@@ -279,9 +321,9 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
     check_delta(args.delta_max, "--delta-max")
     if not args.delta_min < args.delta_max:
         raise ValueError("need --delta-min < --delta-max")
-    # a grid point passes the test below only if delta_min + i*step is at
-    # most delta_max + 1.5e-12 (end tolerance plus rounding), so the loop's
-    # count bounds the points before any point is classified; the min keeps
+    # a grid point is kept below only if delta_min + i*step is at most
+    # delta_max + 1.5e-12 (end tolerance plus rounding), so this count
+    # bounds the points before any point is classified; the min keeps
     # int() finite when a subnormal step sends the estimate to inf
     points = int(min((args.delta_max - args.delta_min + 2e-12) / args.step + 1, ROW_LIMIT + 1))
     check_cap(points, "sweep grid points", ROW_LIMIT)
@@ -289,24 +331,22 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
     # point lies in [0, delta_max], so within check_delta's range
     q, k = split_slack(args.alpha, args.beta, args.m)
     z_low, z_high = root_pair(args.m, k)
-    rows = []
-    for i in range(points):
-        # index-based grid avoids compounding float error across steps; the
-        # round keeps grid points like 0.55 + 0.05 from printing as 0.600...01
-        delta = round(args.delta_min + i * args.step, 12)
-        if delta > args.delta_max + 1e-12:
-            break
-        d = min(delta, args.delta_max)
-        kind, members = regime(d, z_low, z_high, k, TIE_TOL)
-        rows.append(
-            {
-                "delta": d,
-                "regime": index_label(members[0]) if kind is OptimalKind.UNIQUE else "tie",
-                "best_payoff": max([frontier_value(q, k, args.m, j, d) for j in members]),
-                "z_low": z_low,
-                "z_high": z_high,
-            }
-        )
+    # index-based grid avoids compounding float error across steps; the
+    # round keeps grid points like 0.55 + 0.05 from printing as 0.600...01
+    grid = [round(args.delta_min + i * args.step, 12) for i in range(points)]
+    grid = [min(d, args.delta_max) for d in grid if d <= args.delta_max + 1e-12]
+    # each run of points with one regime answer is priced in one column per
+    # member; a tie keeps the best member at each point
+    rows: Table = []
+    runs = itertools.groupby(grid, lambda d: regime(d, z_low, z_high, k, TIE_TOL))
+    for (kind, members), run in runs:
+        run = list(run)
+        label = index_label(members[0]) if kind is OptimalKind.UNIQUE else "tie"
+        best = map(max, zip(*[frontier_value(q, k, args.m, j, run) for j in members]))
+        rows += [
+            {"delta": d, "regime": label, "best_payoff": v, "z_low": z_low, "z_high": z_high}
+            for d, v in zip(run, best)
+        ]
     return {"rows": rows}, rows
 
 

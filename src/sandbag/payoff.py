@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .belief import PRICE_LIMIT, Action, check_cap, check_delta, check_int, check_tol
 from .belief import split_slack
@@ -45,6 +45,11 @@ def _log(delta: float) -> float:
 def _geometric(log_ratio: float, n: int) -> float:
     """1 + r + ... + r**(n-1) for r = exp(log_ratio) in [0, 1)."""
     return math.expm1(n * log_ratio) / math.expm1(log_ratio) if n else 0.0
+
+
+def _geometrics(log_ratios: list[float], n: int) -> list[float]:
+    """``_geometric(r, n)`` for each r of a column."""
+    return [math.expm1(n * r) / math.expm1(r) if n else 0.0 for r in log_ratios]
 
 
 def _price_runs(runs: tuple[Run, ...], delta: float, log_delta: float) -> tuple[float, int]:
@@ -124,18 +129,26 @@ def frontier_payoff(
     q, k = split_slack(alpha0, beta0, m)
     if 2 <= index < math.inf:  # h^1 crosses at q + 1, within q's cap
         check_cap(q + (m - k) + 1 + (m + 1) * (index - 2), "crossing period", PRICE_LIMIT)
-    return frontier_value(q, k, m, index, delta)
+    return frontier_value(q, k, m, index, (delta,))[0]
 
 
-def frontier_value(q: int, k: int, m: int, index: FamilyIndex, delta: float) -> float:
-    """``frontier_payoff``'s closed form from ``split_slack``'s (q, k), unchecked."""
-    log_delta = _log(delta)
+def frontier_value(
+    q: int, k: int, m: int, index: FamilyIndex, deltas: Sequence[float]
+) -> list[float]:
+    """``frontier_payoff``'s closed form from ``split_slack``'s (q, k),
+    unchecked, at each delta of a column. Each delta goes through the
+    scalar float operations in the scalar order, so an entry equals the
+    one-element call at its delta bit for bit."""
+    logs = list(map(_log, deltas))
     if index == 1:
-        return _geometric(log_delta, q + 1)
-    head = _geometric(log_delta, q)
+        return _geometrics(logs, q + 1)
+    head = _geometrics(logs, q)
     period_first = q + (m - k) + 1  # period of the first boundary success
     if index == math.inf:
-        return head + delta ** (period_first - 1) / -math.expm1((m + 1) * log_delta)
-    body = delta ** (period_first - 1) * _geometric((m + 1) * log_delta, index - 1)
-    crossing = delta ** (period_first + (m + 1) * (index - 2))
-    return head + body + crossing
+        return [
+            h + d ** (period_first - 1) / -math.expm1((m + 1) * lg)
+            for h, d, lg in zip(head, deltas, logs)
+        ]
+    body = _geometrics([(m + 1) * lg for lg in logs], index - 1)
+    crossing = period_first + (m + 1) * (index - 2)
+    return [h + d ** (period_first - 1) * b + d**crossing for h, d, b in zip(head, deltas, body)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -131,10 +132,9 @@ def play_guesser(
 ) -> Trajectory:
     """Run an i.i.d. success/failure source until crossing or the cap."""
     check_int(max_periods, "max_periods", 1)
-    draw, p_true = random.Random(guesser.seed).random, guesser.p_true
-
-    def draws():
-        while True:
-            yield Action.SUCCESS if draw() < p_true else Action.FAILURE
-
-    return _run(alpha0, beta0, c, itertools.islice(draws(), max_periods), delta)
+    # one draw per period, SUCCESS when draw < p_true, with no Python frame
+    # per period; operator.lt, as p_true may be the int 0 or 1
+    draws = iter(random.Random(guesser.seed).random, None)
+    hits = map(operator.lt, draws, itertools.repeat(guesser.p_true))
+    actions = map((Action.FAILURE, Action.SUCCESS).__getitem__, hits)
+    return _run(alpha0, beta0, c, itertools.islice(actions, max_periods), delta)

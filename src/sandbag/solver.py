@@ -18,9 +18,12 @@ root, so it gets h^1.
 The rule has one home: ``root_pair`` gives (z_low, z_high) for (m, k) and
 ``regime`` places delta against them, and ``classify`` and the CLI's
 ``sweep`` both call these two; each member is priced by
-``payoff.frontier_value``, the closed form behind ``frontier_payoff``.
-A sweep therefore finds (q, k) and the roots once per grid, with the
-default tie band ``TIE_TOL``; every delta is checked by ``check_delta``.
+``payoff.frontier_value``, the closed form behind ``frontier_payoff``,
+which prices a column of deltas in one call. A sweep therefore finds
+(q, k) and the roots once per grid, with the default tie band
+``TIE_TOL``, groups its grid into runs of one ``regime`` answer, and
+prices each run with one ``frontier_value`` call per member; every
+delta is checked by ``check_delta``.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ def classify(inst: ProblemInstance, tie_tol: float = TIE_TOL) -> OptimalSet:
     q, k = split_slack(inst.alpha0, inst.beta0, inst.m)
     z_low, z_high = root_pair(inst.m, k)
     kind, members = regime(inst.delta, z_low, z_high, k, tie_tol)
-    pay = {i: frontier_value(q, k, inst.m, i, inst.delta) for i in members}
+    pay = {i: frontier_value(q, k, inst.m, i, (inst.delta,))[0] for i in members}
     return OptimalSet(kind, members, z_low, z_high, pay)
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: envelopes, schemas, CSV shapes, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -540,10 +541,26 @@ def _straddling_sweeps(draw):
     return a, b, m, lo, hi, step
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)  # about 1.5 s
-@given(_straddling_sweeps())
+@st.composite
+def _wide_sweeps(draw):
+    """A prior and cutoff 1/(m+1), k = 0 about one time in three, and a grid
+    from delta_min in [0, 0.3] up to at most 0.999 with a step in [1e-4, 0.1],
+    so that most grids hold several regime runs."""
+    m = draw(st.integers(1, 8))
+    a = draw(st.integers(1, 4))
+    k = 0 if draw(st.integers(0, 2)) == 0 else draw(st.integers(0, m - 1))
+    b = m * (a + draw(st.integers(0, 4))) + k
+    lo = draw(st.floats(0.0, 0.3))
+    hi = draw(st.floats(lo + 1e-3, 0.999))
+    step = 10.0 ** draw(st.floats(-4.0, -1.0))
+    return a, b, m, lo, hi, step
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)  # about 3 s
+@given(st.integers(0, 5).flatmap(lambda i: _straddling_sweeps() if i else _wide_sweeps()))
 def test_sweep_rows_equal_per_point_classify(case):
-    """Each sweep row equals the one built from classify at that point alone."""
+    """Each sweep row equals the one built from classify at that point alone,
+    on fine grids through a tie band and on grids across whole regimes."""
     a, b, m, lo, hi, step = case
     rows = _sweep_rows(
         "--alpha", str(a), "--beta", str(b), "--m", str(m),
@@ -560,6 +577,10 @@ def test_sweep_rows_equal_per_point_classify(case):
             "z_low": res.z_low,
             "z_high": res.z_high,
         }
+    # the grid: every point up to delta_max (plus 1e-12), the last one clipped
+    grid = [round(lo + i * step, 12) for i in range(len(rows) + 1)]
+    assert [row["delta"] for row in rows] == [min(d, hi) for d in grid[:-1]]
+    assert grid[-1] > hi + 1e-12
 
 
 @pytest.mark.parametrize(
@@ -1245,6 +1266,65 @@ def test_cli_defaults_are_the_library_defaults():
     assert parse(["thresholds", "--n-max", "1"]).tol == ROOT_TOL
     vi_tol = inspect.signature(value_iteration).parameters["tol"].default
     assert parse(["oracle", *_PRIOR_CUTOFF, "--delta", "0.5"]).tol == vi_tol
+
+
+# each command's required flags, in the order its parser adds them
+_REQUIRED = {
+    "solve": ("--alpha", "--beta", "--m", "--delta"),
+    "enumerate": ("--alpha", "--beta", "--c-num", "--c-den", "--max-index"),
+    "evaluate": ("--strategy", "--delta"),
+    "oracle": ("--alpha", "--beta", "--c-num", "--c-den", "--delta"),
+    "thresholds": ("--n-max",),
+    "simulate": ("--alpha", "--beta", "--c-num", "--c-den", "--max-periods"),
+    "sweep": ("--alpha", "--beta", "--m", "--delta-min", "--delta-max", "--step"),
+}
+
+
+@pytest.mark.parametrize("command", _REQUIRED)
+def test_bare_command_names_every_required_flag(capsys, command):
+    assert set(_REQUIRED) == set(cli._HANDLERS)
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert f"required: {', '.join(_REQUIRED[command])}" in err
+
+
+def _flags_read(fn) -> set[str]:
+    """The flags behind every ``args.<name>`` that ``fn``'s source reads."""
+    tree = ast.parse(inspect.getsource(fn))
+    return {
+        "--" + node.attr.replace("_", "-")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "args"
+    } - {"--command"}
+
+
+@pytest.mark.parametrize("command", _REQUIRED)
+def test_command_help_lists_every_flag_its_handler_reads(capsys, command):
+    flags = set().union(*map(_flags_read, (cli._HANDLERS[command], cli.render, cli._write_output)))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == EXIT_OK
+    assert flags >= set(_REQUIRED[command])  # the source scan finds what argparse requires
+    assert {flag for flag in flags if flag not in out.split()} == set()
+
+
+def test_parsing_one_command_adds_only_its_arguments(monkeypatch):
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *names, **kwargs):
+        if names != ("-h", "--help"):  # every parser adds its -h when it is made
+            added.append(self.prog)
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    args = cli.build_parser().parse_args(["sweep", *_SWEEP_BASE[1:], "--delta-min", "0.1",
+                                          "--delta-max", "0.2", "--step", "0.1"])
+    assert args.step == 0.1
+    assert set(added) == {"sandbag", "sandbag sweep"}
 
 
 def _refuses(rule, x: float) -> bool:

@@ -7,6 +7,8 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandbag import (
     Threshold,
@@ -17,7 +19,7 @@ from sandbag import (
     payoff,
 )
 from sandbag.cli import main
-from sandbag.payoff import _bisect
+from sandbag.payoff import _bisect, frontier_value
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -216,6 +218,43 @@ class TestFrontierPayoff:
                 if abs(f_m) > 1e-9:
                     assert (pays[3] - pays[2] > 0) == (f_m > 0)
                     assert (pays[4] - pays[3] > 0) == (f_m > 0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)  # about 1 s
+    @given(
+        st.integers(0, 10**5),
+        st.integers(1, 50).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))),
+        st.sampled_from([1, 2, 3, 7, math.inf]),
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53]),
+                st.floats(0.0, 1.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_column_equals_scalar_closed_form_bit_for_bit(self, q, mk, index, grid):
+        """Each entry of a column is the scalar closed form at its delta alone."""
+        m, k = mk
+
+        def geometric(log_ratio, n):
+            return math.expm1(n * log_ratio) / math.expm1(log_ratio) if n else 0.0
+
+        def scalar(delta):
+            log_delta = math.log(delta) if delta > 0.0 else -math.inf
+            if index == 1:
+                return geometric(log_delta, q + 1)
+            head = geometric(log_delta, q)
+            period_first = q + (m - k) + 1
+            if index == math.inf:
+                return head + delta ** (period_first - 1) / -math.expm1((m + 1) * log_delta)
+            body = delta ** (period_first - 1) * geometric((m + 1) * log_delta, index - 1)
+            return head + body + delta ** (period_first + (m + 1) * (index - 2))
+
+        column = frontier_value(q, k, m, index, grid)
+        assert [v.hex() for v in column] == [scalar(d).hex() for d in grid]
+        for j, delta in enumerate(grid):
+            assert column[j] == frontier_value(q, k, m, index, (delta,))[0]
 
     def test_rejects_high_prior(self):
         with pytest.raises(ValueError, match="exceeds threshold"):
