@@ -15,6 +15,7 @@ from sandbag import (
     classify,
 )
 from sandbag.belief import split_slack
+from sandbag.solver import root_pair
 
 
 def label(members):
@@ -25,8 +26,7 @@ def label(members):
 
 for alpha, beta, m in [(1, 3, 1), (1, 5, 1), (1, 5, 2), (2, 7, 1)]:
     q, k = split_slack(alpha, beta, m)  # beta = m*r + k with r = q + alpha
-    z_lo = breakeven_discount(m - k).z if k else breakeven_discount(m).z
-    z_hi = breakeven_discount(m).z
+    z_lo, z_hi = root_pair(m, k)
     print(f"prior Beta({alpha}, {beta}), cutoff 1/{m + 1}"
           f"  (m = {m}, r = {q + alpha}, k = {k})")
     print(f"  z_low = {z_lo:.6f}, z_high = {z_hi:.6f}")

@@ -6,9 +6,9 @@ schedules, price them, and let the solver pick.
 """
 
 import math
+from fractions import Fraction
 
 from sandbag import (
-    BeliefState,
     ProblemInstance,
     Threshold,
     classify,
@@ -23,7 +23,7 @@ ALPHA, BETA, M = 1, 3, 1
 c = Threshold.from_m(M)
 
 print(f"prior Beta({ALPHA}, {BETA}), cutoff c = {c}")
-print(f"prior mean = {BeliefState(ALPHA, BETA).posterior_mean}\n")
+print(f"prior mean = {Fraction(ALPHA, ALPHA + BETA)}\n")
 
 print("The frontier family (succeed while affordable, pad with forced failures,")
 print("cash in the crossing success at the chosen opportunity):")

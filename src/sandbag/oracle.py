@@ -33,7 +33,6 @@ VI_WORK_LIMIT = 5_000_000  # most estimated state updates, states x sweeps, of o
 class OracleResult(NamedTuple):
     value: float
     best_sequence: tuple[Action, ...]
-    horizon: int
 
 
 def exhaustive_best(
@@ -53,7 +52,7 @@ def exhaustive_best(
     check_cap(horizon, "exhaustive horizon", EXHAUSTIVE_LIMIT)
     check_cap(_tree_nodes(slack0, c, horizon), "exhaustive tree nodes", EXHAUSTIVE_WORK_LIMIT)
     value, seq = _walk(slack0, c, delta, horizon)
-    return OracleResult(value, seq, horizon)
+    return OracleResult(value, seq)
 
 
 def _tree_nodes(slack0: int, c: Threshold, horizon: int) -> int:

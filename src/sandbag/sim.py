@@ -116,7 +116,8 @@ def play_strategy(
     still in the game, the schedule is incomplete and a ValueError is raised.
     """
     check_int(max_periods, "max_periods", 1)
-    traj = _run(alpha0, beta0, c, x.actions(None if x.is_finite else max_periods), delta)
+    schedule = itertools.islice(x.actions(), None if x.is_finite else max_periods)
+    traj = _run(alpha0, beta0, c, schedule, delta)
     if x.is_finite and not traj.terminated:
         raise ValueError("incomplete strategy: schedule ends before crossing the cutoff")
     return traj

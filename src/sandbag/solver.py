@@ -32,11 +32,13 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .belief import Threshold, check_delta, check_int, check_tol, checked, split_slack
+from .belief import Threshold, check_cap, check_delta, check_int, check_tol, checked, split_slack
 from .payoff import breakeven_discount, frontier_value, payoff
 from .strategy import FamilyIndex, frontier_strategy
 
 TIE_TOL = 1e-9  # default half-width of the band around a root that counts as a tie
+ORDERING_TOL = 1e-10  # verify_ordering: members this close to the best tie for it
+ORDERING_LIMIT = 1_500  # most n_max one verify_ordering takes; its cost grows as n_max**2
 
 
 class OptimalKind(str, Enum):
@@ -138,32 +140,29 @@ class OrderingReport(NamedTuple):
     """Cross-check of classify against directly evaluated schedules."""
 
     argmax: tuple[FamilyIndex, ...]
-    payoffs: dict[FamilyIndex, float]
-    classification: OptimalSet
     agrees: bool
 
 
-def verify_ordering(inst: ProblemInstance, n_max: int, atol: float = 1e-10) -> OrderingReport:
+def verify_ordering(inst: ProblemInstance, n_max: int) -> OrderingReport:
     """Evaluate h^1..h^n_max and h^inf from their schedules and check that
     the best of them matches the classification.
 
     This route builds each schedule with ``frontier_strategy`` and prices
     its runs with ``payoff``, independently of the closed forms that
-    ``classify`` uses. The argmax compares the members for the prior
-    Beta(alpha0 + q, beta0), which drop the q free successes all members
-    open with: at large q those hide the differences below float resolution.
+    ``classify`` uses. Each member is priced once, for the prior
+    Beta(alpha0 + q, beta0), which drops the q free successes all members
+    open with: at large q those hide the differences below float
+    resolution. Members within ``ORDERING_TOL`` of the best are the argmax.
+    Raises LimitExceededError when n_max is above ORDERING_LIMIT.
     """
     check_int(n_max, "n_max", 2)
-    check_tol(atol, "atol")
+    check_cap(n_max, "n_max", ORDERING_LIMIT)
     q, _ = split_slack(inst.alpha0, inst.beta0, inst.m)
     c = inst.threshold
     indices: list[FamilyIndex] = [*range(1, n_max + 1), math.inf]
-    values, tails = (
-        {i: payoff(frontier_strategy(a, inst.beta0, c, i), inst.delta) for i in indices}
-        for a in (inst.alpha0, inst.alpha0 + q)
-    )
-    top = max(tails.values())
-    argmax = tuple(i for i in indices if tails[i] >= top - atol)
+    alpha = inst.alpha0 + q
+    values = [payoff(frontier_strategy(alpha, inst.beta0, c, i), inst.delta) for i in indices]
+    top = max(values)
+    argmax = tuple(i for i, v in zip(indices, values) if v >= top - ORDERING_TOL)
     cls = classify(inst)
-    agrees = set(argmax) == {i for i in indices if cls.contains(i)}
-    return OrderingReport(argmax, values, cls, agrees)
+    return OrderingReport(argmax, set(argmax) == {i for i in indices if cls.contains(i)})

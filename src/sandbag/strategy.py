@@ -34,7 +34,7 @@ import math
 import re
 from typing import Iterable, Iterator, Union
 
-from .belief import Action, Threshold, check_int, checked, start_slack
+from .belief import Action, Threshold, checked, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
@@ -118,15 +118,12 @@ class Strategy(checked("Strategy", "prefix_runs cycle_runs")):
         """Number of periods for finite strategies, None for infinite ones."""
         return sum(n for _, n in self.prefix_runs) if self.cycle_runs is None else None
 
-    def actions(self, limit: int | None = None) -> Iterator[Action]:
-        """Yield the schedule in order; ``limit``, None or an int >= 0,
-        bounds infinite ones."""
-        if limit is not None:
-            check_int(limit, "limit", 0)
+    def actions(self) -> Iterator[Action]:
+        """Yield the schedule in order, without end for an infinite one."""
         seq = _expand(self.prefix_runs)
         if self.cycle_runs is not None:
             seq = itertools.chain(seq, itertools.cycle(_expand(self.cycle_runs)))
-        return seq if limit is None else itertools.islice(seq, limit)
+        return seq
 
     def __str__(self) -> str:
         return format_strategy(self)

@@ -22,7 +22,6 @@ from sandbag import (
     play_guesser,
     play_strategy,
     value_iteration,
-    verify_ordering,
 )
 from sandbag.belief import check_delta, split_slack, start_slack
 
@@ -170,8 +169,6 @@ _TOLERANCES = {
     "breakeven_discount": (lambda t: breakeven_discount(2, tol=t),
                            "tol must be positive and finite"),
     "classify": (lambda t: classify(_INST, tie_tol=t), "tie_tol must be nonnegative and finite"),
-    "verify_ordering": (lambda t: verify_ordering(_INST, 3, atol=t),
-                        "atol must be nonnegative and finite"),
     "value_iteration": (lambda t: value_iteration(1, 3, Threshold(1, 2), 0.5, tol=t),
                         "tol must be positive and finite"),
 }

@@ -6,6 +6,7 @@ import contextlib
 import csv
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -35,6 +36,8 @@ from sandbag import (
     oracle,
     parse_strategy,
     payoff,
+    solver,
+    verify_ordering,
 )
 from sandbag.belief import check_delta, check_tol, split_slack
 from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
@@ -975,6 +978,15 @@ _EVERY_CAP = {
         pricing, "PRICE_LIMIT", None, "crossing period",
         lambda: frontier_payoff(1, 3, 1, 10**308, 0.5), None,
     ),
+    # h^1..h^6 and h^inf, each priced from its schedule
+    "verify_ordering n_max": (
+        solver, "ORDERING_LIMIT", 6, "n_max",
+        lambda: verify_ordering(ProblemInstance(1, 3, 1, 0.5), 6), None,
+    ),
+    "verify_ordering n_max at ORDERING_LIMIT + 1": (
+        solver, "ORDERING_LIMIT", None, "n_max",
+        lambda: verify_ordering(ProblemInstance(1, 3, 1, 0.5), solver.ORDERING_LIMIT + 1), None,
+    ),
     "payoff of a run of 10**308": (
         pricing, "PRICE_LIMIT", None, "strategy length",
         lambda: payoff(Strategy([(Action.SUCCESS, 10**308)]), 0.5), None,
@@ -1251,6 +1263,29 @@ def test_render_never_runs_the_pure_python_encoder(capsys, monkeypatch, argv):
 
 def _not_json(name: str):
     raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def _load_pin_tool():
+    spec = importlib.util.spec_from_file_location(
+        "pin_envelopes", Path(__file__).resolve().parent.parent / "tools" / "pin_envelopes.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_every_envelope_keeps_its_pinned_bytes():
+    """The SHA-256 of (exit code, stdout, stderr) of every ``_ENVELOPE_ARGVS``
+    argv, in JSON and CSV, equals ``golden/envelopes.json``. A change that
+    alters bytes on purpose reruns ``tools/pin_envelopes.py`` and lists the
+    argvs it prints."""
+    tool = _load_pin_tool()
+    assert tool.envelope_argvs() == [tuple(argv) for argv in _ENVELOPE_ARGVS]
+    pinned = json.loads((GOLDEN_DIR / "envelopes.json").read_text(encoding="utf-8"))
+    now = tool.pins()
+    assert list(now) == list(pinned)
+    changed = [argv for argv in now if now[argv] != pinned[argv]]
+    assert not changed, f"{len(changed)} envelopes changed, first: {changed[0]}"
 
 
 def test_every_envelope_is_strict_json(capsys):

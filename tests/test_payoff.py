@@ -4,6 +4,7 @@ import contextlib
 import enum
 import hashlib
 import io
+import itertools
 import math
 
 import pytest
@@ -196,7 +197,7 @@ class TestFrontierPayoff:
                 horizon = math.ceil(math.log(1e-13 * (1.0 - delta)) / math.log(delta))
                 total = sum(
                     delta**t
-                    for t, a in enumerate(h.actions(limit=horizon))
+                    for t, a in enumerate(itertools.islice(h.actions(), horizon))
                     if a.value == "s"
                 )
                 closed = frontier_payoff(alpha0, beta0, m, math.inf, delta)

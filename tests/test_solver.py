@@ -16,6 +16,7 @@ from sandbag import (
     payoff,
     verify_ordering,
 )
+from sandbag.belief import split_slack
 
 Z1 = breakeven_discount(1).z
 Z2 = breakeven_discount(2).z
@@ -235,11 +236,22 @@ class TestVerifyOrdering:
         with pytest.raises(ValueError, match="n_max must be an integer"):
             verify_ordering(ProblemInstance(1, 3, 1, 0.5), n_max)
 
-    @pytest.mark.parametrize("atol", [math.nan, math.inf, -1.0, True, "0.5", None])
-    def test_rejects_bad_atol(self, atol):
-        # nan used to report agrees=False, and a negative atol an empty argmax
-        with pytest.raises(ValueError, match="atol must be nonnegative and finite"):
-            verify_ordering(ProblemInstance(1, 3, 1, 0.5), 3, atol)
+    @pytest.mark.parametrize("n_max", [2, 7, 20])
+    def test_prices_each_member_once(self, monkeypatch, n_max):
+        # one payoff call per member, for the prior the argmax compares
+        priced = []
+
+        def counted(x, delta):
+            priced.append(x)
+            return payoff(x, delta)
+
+        monkeypatch.setattr("sandbag.solver.payoff", counted)
+        inst = ProblemInstance(2, 9, 2, 0.7)
+        q, _ = split_slack(2, 9, 2)
+        assert verify_ordering(inst, n_max).agrees
+        assert len(priced) == n_max + 1
+        members = [*range(1, n_max + 1), math.inf]
+        assert priced == [frontier_strategy(2 + q, 9, inst.threshold, i) for i in members]
 
     @pytest.mark.parametrize(
         "alpha0,beta0,m,delta", [(1, 100001, 1, 0.7), (1, 300000, 3, 0.9), (1, 10**6, 8, 0.99)]
@@ -251,9 +263,6 @@ class TestVerifyOrdering:
         rep = verify_ordering(inst, 6)
         assert rep.agrees
         assert rep.argmax == (math.inf,)
-        c = inst.threshold
-        for i, value in rep.payoffs.items():
-            assert value == payoff(frontier_strategy(alpha0, beta0, c, i), delta)
 
     def test_agrees_on_seeded_large_prior_grid(self):
         rng = random.Random(20240601)
