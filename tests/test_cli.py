@@ -36,6 +36,7 @@ from sandbag import (
     oracle,
     parse_strategy,
     payoff,
+    sim,
     solver,
     verify_ordering,
 )
@@ -44,7 +45,7 @@ from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, 
 from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT, dp_value, exhaustive_best
 from sandbag.oracle import value_iteration
 from sandbag.payoff import ROOT_TOL
-from sandbag.sim import GuesserConfig
+from sandbag.sim import GuesserConfig, play_strategy
 from sandbag.solver import TIE_TOL, root_pair
 
 pricing = importlib.import_module("sandbag.payoff")  # ``sandbag.payoff`` is the function
@@ -990,6 +991,25 @@ _EVERY_CAP = {
     "payoff of a run of 10**308": (
         pricing, "PRICE_LIMIT", None, "strategy length",
         lambda: payoff(Strategy([(Action.SUCCESS, 10**308)]), 0.5), None,
+    ),
+    # sss crosses at period 3 from Beta(1, 3) at cutoff 1/2
+    "play_strategy schedule length": (
+        sim, "PLAY_LIMIT", 3, "schedule length",
+        lambda: play_strategy(1, 3, _C_HALF, parse_strategy("sss")), None,
+    ),
+    # the real limit: a run of 10**6 successes, which crosses at period 3
+    "play_strategy schedule length at PLAY_LIMIT": (
+        sim, "PLAY_LIMIT", 1_000_000, "schedule length",
+        lambda: play_strategy(1, 3, _C_HALF, Strategy([(Action.SUCCESS, 10**6)])), None,
+    ),
+    # 2 * 10**6 + 3 periods, past max_periods: 3 s and 380 MB uncapped
+    "play_strategy of 10**6 failures and 10**9 successes": (
+        sim, "PLAY_LIMIT", None, "schedule length",
+        lambda: play_strategy(
+            1, 3, _C_HALF, Strategy([(Action.FAILURE, 10**6), (Action.SUCCESS, 10**9)]),
+            max_periods=10,
+        ),
+        None,
     ),
 }
 

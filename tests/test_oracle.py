@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandbag import (
     Action,
@@ -16,6 +18,7 @@ from sandbag import (
     frontier_payoff,
     value_iteration,
 )
+from sandbag import oracle
 from sandbag.oracle import _tree_nodes
 
 C_HALF = Threshold(1, 2)
@@ -40,6 +43,64 @@ def _random_cases(rng, n, last):
         )
         cases.append((alpha0, beta0, c, delta, last(rng)))
     return cases
+
+
+def _draw_prior_and_cutoff(data, extra, max_den=12):
+    """(alpha0, beta0, c) with den <= ``max_den`` and a prior ``extra``
+    failures past the least beta0 the cutoff admits."""
+    den = data.draw(st.integers(2, max_den), label="den")
+    c = Threshold(data.draw(st.integers(1, den - 1), label="num"), den)
+    alpha0 = data.draw(st.integers(1, 4), label="alpha0")
+    beta0 = -(-(c.den - c.num) * alpha0 // c.num) + data.draw(extra, label="beta0 past the least")
+    return alpha0, beta0, c
+
+
+def _unfolded_walk(alpha0, beta0, c, delta, horizon):
+    """The tree walk with a call for every node down to the last period,
+    each returning its sequence as nested (action, rest) pairs."""
+    gain, short = c.num, c.den - c.num
+
+    def best(slack, periods_left):
+        if periods_left == 0:
+            return 0.0, None
+        s_slack = slack - short
+        if s_slack >= 0:
+            sub_value, s_rest = best(s_slack, periods_left - 1)
+            s_value = 1.0 + delta * sub_value
+        else:
+            s_value, s_rest = 1.0, None  # crossing success ends the game
+        f_sub_value, f_rest = best(slack + gain, periods_left - 1)
+        f_value = delta * f_sub_value
+        if s_value >= f_value:
+            return s_value, (Action.SUCCESS, s_rest)
+        return f_value, (Action.FAILURE, f_rest)
+
+    value, node = best(c.num * beta0 - (c.den - c.num) * alpha0, horizon)
+    seq = []
+    while node is not None:
+        action, node = node
+        seq.append(action)
+    return value, tuple(seq)
+
+
+def _vi_reference(alpha0, beta0, c, delta, tol):
+    """Value iteration that takes ``max`` per state and tests the full
+    sup-norm step after every sweep."""
+    slack0 = c.num * beta0 - (c.den - c.num) * alpha0
+    short = c.den - c.num
+    cap = max(slack0, short + c.num - 1) + c.num
+    f_child = [min(s + c.num, cap) for s in range(cap + 1)]
+    w = [0.0] * (cap + 1)
+    stop = tol * (1.0 - delta)
+    for _ in range(10_000_000):
+        w_next = [
+            max(1.0 + delta * w[s - short] if s >= short else 1.0, delta * w[f])
+            for s, f in enumerate(f_child)
+        ]
+        if max(abs(a - b) for a, b in zip(w_next, w)) <= stop:
+            return w_next[slack0]
+        w = w_next
+    raise RuntimeError("value iteration failed to converge")
 
 
 class TestExhaustiveBest:
@@ -127,6 +188,20 @@ class TestExhaustiveBest:
             res = exhaustive_best(*case)
             value, seq = reference(*case)
             assert (res.value.hex(), res.best_sequence) == (value.hex(), seq), case
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_unfolded_walk(self, data):
+        """Value bit for bit and sequence equal to the walk that recurses
+        through the last two periods, at every horizon up to 16."""
+        alpha0, beta0, c = _draw_prior_and_cutoff(data, st.integers(0, 24))
+        delta = data.draw(
+            st.sampled_from([0, 0.0, -0.0, 0.5, 0.999]) | st.floats(0, 0.999), label="delta"
+        )
+        horizon = data.draw(st.sampled_from([0, 1, 2, 3]) | st.integers(0, 16), label="horizon")
+        res = exhaustive_best(alpha0, beta0, c, delta, horizon)
+        value, seq = _unfolded_walk(alpha0, beta0, c, delta, horizon)
+        assert (res.value.hex(), res.best_sequence) == (value.hex(), seq)
 
     def test_pinned_bits(self):
         res = exhaustive_best(1, 3, C_HALF, 0.95, 22)
@@ -250,27 +325,36 @@ class TestValueIteration:
         """Bit for bit equal to the sweep that takes ``max`` per state, at
         general cutoffs, delta 0 (int and float), -0.0 and near 1."""
 
-        def reference(alpha0, beta0, c, delta, tol):
-            slack0 = c.num * beta0 - (c.den - c.num) * alpha0
-            short = c.den - c.num
-            cap = max(slack0, short + c.num - 1) + c.num
-            f_child = [min(s + c.num, cap) for s in range(cap + 1)]
-            w = [0.0] * (cap + 1)
-            stop = tol * (1.0 - delta)
-            for _ in range(10_000_000):
-                w_next = [
-                    max(1.0 + delta * w[s - short] if s >= short else 1.0, delta * w[f])
-                    for s, f in enumerate(f_child)
-                ]
-                if max(abs(a - b) for a, b in zip(w_next, w)) <= stop:
-                    return w_next[slack0]
-                w = w_next
-            raise RuntimeError("value iteration failed to converge")
-
         cases = [(1, 400, C_HALF, 0.9, 1e-13), (1, 3, C_HALF, 0, 1e-10), (1, 3, C_HALF, -0.0, 1e-6)]
         cases += _random_cases(random.Random(7), 100, lambda rng: rng.choice([1e-6, 1e-10, 1e-13]))
         for case in cases:
-            assert value_iteration(*case).hex() == reference(*case).hex(), case
+            assert value_iteration(*case).hex() == _vi_reference(*case).hex(), case
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data(), near_one=st.booleans())
+    def test_generated_inputs_match_per_state_max_reference(self, data, near_one):
+        """Bit for bit equal to the per-state ``max`` sweep, which tests the
+        full step after every sweep: delta within 1e-3 of 1 half the time,
+        the extreme tolerances, and slack caps up to the work cap, lowered
+        here so that the reference takes at most about 0.2 s."""
+        if near_one:  # few slack states, so that the sweeps fit the work cap
+            alpha0, beta0, c = _draw_prior_and_cutoff(data, st.integers(0, 3), max_den=4)
+            delta = 1.0 - data.draw(st.floats(5e-4, 1e-3), label="1 - delta")
+        else:
+            alpha0, beta0, c = _draw_prior_and_cutoff(data, st.integers(0, 6) | st.integers(40, 400))
+            delta = data.draw(st.sampled_from([0, -0.0]) | st.floats(0.001, 0.999), label="delta")
+        tol = data.draw(
+            st.sampled_from([1e-15, 1e300, 5e-324])
+            | st.integers(-160, -40).map(lambda tenths: 10.0 ** (tenths / 10)),
+            label="tol",
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "VI_WORK_LIMIT", 300_000)
+            try:
+                got = value_iteration(alpha0, beta0, c, delta, tol)
+            except LimitExceededError:
+                return
+        assert got.hex() == _vi_reference(alpha0, beta0, c, delta, tol).hex()
 
     def test_pinned_bits(self):
         got = value_iteration(1, 400, C_HALF, 0.9, tol=1e-13)
