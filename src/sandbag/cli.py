@@ -11,13 +11,14 @@ template per key set, its constant columns encoded once and each other
 column in one C call. Results go to stdout unless --out is given; an
 existing output file is refused without --force.
 
-``build_parser`` makes the root and all seven subcommand parsers with
-their help lines on every call, with no cache; a subcommand's parser
-adds its own arguments when it first parses, so a command line builds
-only the arguments of the command it names. ``sweep`` builds its delta
-grid as a column, groups its points into runs of one ``solver.regime``
-answer, and prices each run by one ``payoff.frontier_value`` call per
-member over the whole run.
+``build_parser`` makes the root parser and the seven subcommand help
+lines on every call, with no cache; a subcommand's parser is made, with
+its own arguments, when it first parses, so a command line builds only
+the root parser and the parser of the command it names. ``sweep`` builds
+its delta grid as a sorted column and finds its end by bisection; it
+finds each run of one ``solver.regime`` answer by bisection too, as each
+answer holds on one interval of delta, and prices each run by one
+``payoff.frontier_value`` call per member over the whole run.
 
 Exit codes: 0 success, 2 usage or validation error or an --out path
 that cannot be written, 3 input over a hard cap. ``belief.check_cap``
@@ -29,13 +30,15 @@ checks each cap after the input rules and before the work, and prints
   h^1..h^N and h^inf, which also bounds rows and --c-den): WORD_LIMIT
   (10^7), counted from runs and the walk before any text is built;
 - exhaustive horizon (25), exhaustive tree nodes (6,000,000), dp horizon
-  (500), value iteration state updates (5,000,000, estimated);
+  (500), value iteration state updates (5,000,000, estimated, with the
+  stop counted as at least 2**-53);
 - m and free successes q (solve, sweep): belief.PRICE_LIMIT (10^307).
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import io
 import itertools
 import json
@@ -143,19 +146,22 @@ _COMMANDS = {
 
 
 class _LazyParser(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its own arguments and the output
-    flags when it first parses: a command line builds the arguments of the
-    one command it names."""
+    """A subcommand's parser, which is made, with its own arguments and the
+    output flags, when it first parses: a command line builds the parser of
+    the one command it names. Until then it only holds its settings;
+    ``add_parser`` (CPython 3.10 to 3.13) stores the new parser and touches
+    nothing on it."""
 
-    def __init__(self, *args, build, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *, build, **kwargs):
         self._build = build
+        self._kwargs = kwargs
 
     # argparse's subparsers action hands a subcommand's arguments to this
     # public method (CPython 3.10 to 3.13); should a release parse through a
     # private helper instead, test_bare_command_names_every_required_flag fails
     def parse_known_args(self, args=None, namespace=None):
         if self._build is not None:
+            super().__init__(**self._kwargs)
             self._build(self)
             _add_output_args(self)
             self._build = None
@@ -163,7 +169,7 @@ class _LazyParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for every subcommand; each adds its arguments on use."""
+    """A fresh root parser and a subcommand parser made on first use."""
     root = argparse.ArgumentParser(
         prog="sandbag",
         description="Optimal failure scheduling against a Beta-Bernoulli monitor",
@@ -334,19 +340,34 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
     # index-based grid avoids compounding float error across steps; the
     # round keeps grid points like 0.55 + 0.05 from printing as 0.600...01
     grid = [round(args.delta_min + i * args.step, 12) for i in range(points)]
-    grid = [min(d, args.delta_max) for d in grid if d <= args.delta_max + 1e-12]
+    # round(delta_min + i*step, 12) never falls as i grows, so the grid is
+    # sorted: it keeps the points up to delta_max + 1e-12, and those past
+    # delta_max print as delta_max
+    end = bisect.bisect_right(grid, args.delta_max + 1e-12)
+    inside = bisect.bisect_right(grid, args.delta_max, 0, end)
+    grid[inside:] = itertools.repeat(args.delta_max, end - inside)
     # each run of points with one regime answer is priced in one column per
     # member; a tie keeps the best member at each point
     rows: Table = []
-    runs = itertools.groupby(grid, lambda d: regime(d, z_low, z_high, k, TIE_TOL))
-    for (kind, members), run in runs:
-        run = list(run)
+    start = 0
+    while start < end:
+        kind, members = regime(grid[start], z_low, z_high, k, TIE_TOL)
+        # each answer holds on one interval of delta, in the order h1, low tie,
+        # h2, high tie, h^inf: d - z is monotone in d, so each inclusive band
+        # abs(d - z) <= tol is an interval, and z_low <= z_high; so the run's
+        # end is the first point with another answer, found by bisection
+        stop = bisect.bisect_left(
+            grid, True, start + 1,
+            key=lambda d: regime(d, z_low, z_high, k, TIE_TOL)[1] != members,
+        )
+        run = grid[start:stop]
         label = index_label(members[0]) if kind is OptimalKind.UNIQUE else "tie"
         best = map(max, zip(*[frontier_value(q, k, args.m, j, run) for j in members]))
         rows += [
             {"delta": d, "regime": label, "best_payoff": v, "z_low": z_low, "z_high": z_high}
             for d, v in zip(run, best)
         ]
+        start = stop
     return {"rows": rows}, rows
 
 

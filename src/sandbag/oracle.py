@@ -165,7 +165,8 @@ def value_iteration(
     table built before the first sweep; a crossing success reads the
     extra slot at cap + 1, which always holds 0.0, so it scores exactly
     1.0. Raises LimitExceededError when the state count times the estimated
-    sweep count is above VI_WORK_LIMIT.
+    sweep count is above VI_WORK_LIMIT; the estimate counts a stop below
+    2**-53 as 2**-53, as any such stop ends at the float fixed point.
     """
     check_delta(delta)
     check_tol(tol, "tol", positive=True)
@@ -174,10 +175,14 @@ def value_iteration(
     cap = max(slack0, short + c.num - 1) + c.num
     # the first step is 1 and each later one at most delta times the last,
     # so about log(stop)/log(delta) sweeps reach `stop`; an estimate, not a
-    # bound, so the loop keeps its own cap
+    # bound, so the loop keeps its own cap. After the first sweep every value
+    # is at least 1.0, so a step that is not 0 is at least 2**-52: any stop
+    # below that ends the loop at the same sweep, where w stops changing, and
+    # the estimate floors log(stop) at 2**-53
     sweeps = 1
     if delta > 0.0:
-        sweeps = max(1, math.ceil((math.log(tol) + math.log1p(-delta)) / math.log(delta)))
+        log_stop = max(math.log(tol) + math.log1p(-delta), -53 * math.log(2))
+        sweeps = max(1, math.ceil(log_stop / math.log(delta)))
     check_cap((cap + 1) * sweeps, "value iteration state updates", VI_WORK_LIMIT)
     # a success from slack below `short` crosses and ends the game
     children = [(s - short if s >= short else cap + 1, min(s + c.num, cap)) for s in range(cap + 1)]

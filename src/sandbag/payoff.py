@@ -139,7 +139,7 @@ def frontier_value(
     unchecked, at each delta of a column. Each delta goes through the
     scalar float operations in the scalar order, so an entry equals the
     one-element call at its delta bit for bit."""
-    logs = list(map(_log, deltas))
+    logs = [math.log(d) if d > 0.0 else -math.inf for d in deltas]  # _log without a call per delta
     if index == 1:
         return _geometrics(logs, q + 1)
     head = _geometrics(logs, q)

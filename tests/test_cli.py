@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import inspect
 import io
+import itertools
 import json
 import math
 import re
@@ -468,6 +469,20 @@ class TestSweep:
         assert (first["delta"], first["regime"], first["best_payoff"]) == (0.0, "h1", 1.0)
         assert math.copysign(1.0, first["delta"]) == 1.0
 
+    def test_points_within_1e_12_past_delta_max_print_as_delta_max(self, capsys):
+        # a step below the grid's 12-decimal rounding: 105 points round to at
+        # most delta_max, 10 to 0.600000000011, within 1e-12 past it, and 11
+        # to 0.600000000012, past that tolerance
+        lo, hi, step = 0.6, 0.6000000000105, 1e-13
+        doc = run_json(
+            capsys, "sweep", "--alpha", "1", "--beta", "3", "--m", "1",
+            "--delta-min", repr(lo), "--delta-max", repr(hi), "--step", repr(step),
+        )
+        deltas = [row["delta"] for row in doc["result"]["rows"]]
+        inside = [round(lo + i * step, 12) for i in range(105)]
+        assert inside[-1] <= hi < round(lo + 105 * step, 12) == 0.600000000011
+        assert deltas == inside + [hi] * 10
+
     @pytest.mark.parametrize(
         "grid, code, message",
         [
@@ -492,7 +507,7 @@ class TestSweep:
         point builds a ProblemInstance or runs classify."""
         from sandbag import solver
 
-        calls = {"split_slack": 0, "breakeven_discount": 0}
+        calls = {"split_slack": 0, "breakeven_discount": 0, "regime": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -504,6 +519,7 @@ class TestSweep:
             raise AssertionError("per-point setup in sweep")
 
         monkeypatch.setattr(cli, "split_slack", counted("split_slack", cli.split_slack))
+        monkeypatch.setattr(cli, "regime", counted("regime", cli.regime))
         monkeypatch.setattr(
             solver, "breakeven_discount",
             counted("breakeven_discount", solver.breakeven_discount),
@@ -515,8 +531,13 @@ class TestSweep:
             capsys, "sweep", "--alpha", "1", "--beta", "5", "--m", "2",
             "--delta-min", "0.05", "--delta-max", "0.95", "--step", "0.01",
         )
-        assert code == EXIT_OK and len(json.loads(out)["result"]["rows"]) == 91
+        rows = json.loads(out)["result"]["rows"]
+        assert code == EXIT_OK and len(rows) == 91
         assert calls["split_slack"] == 1 and 1 <= calls["breakeven_discount"] <= 2
+        # each run of one regime answer: one call at its start, and a
+        # bisection for its end
+        runs = len(list(itertools.groupby(row["regime"] for row in rows)))
+        assert calls["regime"] <= runs * (math.ceil(math.log2(91)) + 1)
 
 
 def _sweep_rows(*argv: str) -> list[dict]:
@@ -1367,19 +1388,26 @@ def test_command_help_lists_every_flag_its_handler_reads(capsys, command):
 
 
 def test_parsing_one_command_adds_only_its_arguments(monkeypatch):
-    added = []
+    added, made = [], []
     add_argument = argparse._ActionsContainer.add_argument
+    init = argparse.ArgumentParser.__init__
 
     def counted(self, *names, **kwargs):
         if names != ("-h", "--help"):  # every parser adds its -h when it is made
             added.append(self.prog)
         return add_argument(self, *names, **kwargs)
 
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.prog)
+
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     args = cli.build_parser().parse_args(["sweep", *_SWEEP_BASE[1:], "--delta-min", "0.1",
                                           "--delta-max", "0.2", "--step", "0.1"])
     assert args.step == 0.1
     assert set(added) == {"sandbag", "sandbag sweep"}
+    assert made == ["sandbag", "sandbag sweep"]
 
 
 def _refuses(rule, x: float) -> bool:

@@ -321,6 +321,14 @@ class TestValueIteration:
         with pytest.raises(ValueError, match="exceeds threshold"):
             value_iteration(3, 1, C_HALF, 0.5)
 
+    def test_a_stop_below_half_an_ulp_runs_to_the_float_fixed_point(self):
+        # tol*(1 - delta) is below half an ulp of every value, at 5e-324 and at
+        # 1e-15 alike: both stop where w no longer changes, after about 31,000
+        # sweeps, which the estimate, with its stop floored at 2**-53, admits
+        c = Threshold(1, 12)
+        got = value_iteration(1, 12, c, 0.999, 5e-324)
+        assert got.hex() == value_iteration(1, 12, c, 0.999, 1e-15).hex()
+
     def test_matches_per_state_max_reference(self):
         """Bit for bit equal to the sweep that takes ``max`` per state, at
         general cutoffs, delta 0 (int and float), -0.0 and near 1."""

@@ -1,10 +1,13 @@
 """Regime classification against the breakeven roots, and its cross-check."""
 
 import enum
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandbag import (
     OptimalKind,
@@ -17,6 +20,7 @@ from sandbag import (
     verify_ordering,
 )
 from sandbag.belief import split_slack
+from sandbag.solver import TIE_TOL, regime, root_pair
 
 Z1 = breakeven_discount(1).z
 Z2 = breakeven_discount(2).z
@@ -200,6 +204,52 @@ class TestClassify:
                 for i in [*range(2, 11), math.inf]
             ]
             assert max(highs) - min(highs) <= 1e-9
+
+
+# regime's answers as delta grows: h1, the low tie (TIE_LOW, or TIE_ALL when
+# k = 0), h2, the high tie, h^inf
+_REGIME_RANK = {(1,): 0, (1, 2): 1, (1, 2, math.inf): 1, (2,): 2, (2, 3, math.inf): 3,
+                (math.inf,): 4}
+
+
+@st.composite
+def _band_edge_samples(draw):
+    """Roots for k = 0 or k >= 1, a tie_tol from 0 up to one that makes the
+    two bands overlap, and a sorted delta sample in [0, 1): every float
+    within 40 steps of each band edge and of each root, points within 1e-8
+    of them, and points anywhere."""
+    m = draw(st.integers(1, 9))
+    k = draw(st.integers(0, m - 1))
+    z_low, z_high = root_pair(m, k)
+    gap = z_high - z_low
+    tie_tol = draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-12, TIE_TOL, 0.5]),
+        st.floats(0.0, 1e-3),
+        st.floats(0.25, 4.0).map(lambda f: f * gap),  # about half the gap: the bands meet
+    ))
+    centres = [z_low, z_high, z_low - tie_tol, z_low + tie_tol, z_high - tie_tol,
+               z_high + tie_tol]
+    deltas = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    for c in centres:
+        deltas += [c + x for x in draw(st.lists(st.floats(-1e-8, 1e-8), max_size=10))]
+        lo = hi = c
+        for _ in range(40):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            deltas += [lo, hi]
+        deltas.append(c)
+    return k, z_low, z_high, tie_tol, sorted({d for d in deltas if 0.0 <= d < 1.0})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)  # about 1 s
+@given(_band_edge_samples())
+def test_regime_answers_are_intervals_in_order(case):
+    """Each regime answer holds on one interval of delta, in the order h1,
+    low tie, h2, high tie, h^inf: sweep finds each run's end by bisection."""
+    k, z_low, z_high, tie_tol, deltas = case
+    answers = (regime(d, z_low, z_high, k, tie_tol)[1] for d in deltas)
+    runs = [members for members, _ in itertools.groupby(answers)]
+    ranks = [_REGIME_RANK[members] for members in runs]
+    assert ranks == sorted(set(ranks)), runs  # strictly rising: no answer returns
 
 
 class TestVerifyOrdering:
