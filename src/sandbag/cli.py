@@ -1,10 +1,11 @@
 """Command line front end.
 
 Every subcommand emits a JSON envelope {command, params, result,
-version} by default, or flat CSV rows with --format csv. Each handler
-returns its payload and its table, the list of row dicts it reports;
-the CSV columns are fields of those rows, named in one map beside
-``render``. The JSON text is the same bytes as
+version} by default, or flat CSV rows with --format csv. One table,
+``_COMMANDS``, names each subcommand once, with its help line, what
+adds its arguments, its handler and its CSV columns. A handler returns
+its payload and its table, the list of row dicts it reports; the CSV
+columns are fields of those rows. The JSON text is the same bytes as
 ``json.dumps(envelope, indent=2, sort_keys=True)``: flat parts are
 written by the C encoder, and a table's rows are filled from one
 template per key set, its constant columns encoded once and each other
@@ -133,18 +134,6 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step", type=float, required=True)
 
 
-# each subcommand: its help line and what adds its own arguments
-_COMMANDS = {
-    "solve": ("classify the optimal family member", _solve_args),
-    "enumerate": ("list frontier family members", _enumerate_args),
-    "evaluate": ("discounted payoff of a strategy string", _evaluate_args),
-    "oracle": ("brute-force or DP value of the game", _oracle_args),
-    "thresholds": ("breakeven discount roots z(1)..z(n)", _thresholds_args),
-    "simulate": ("play a schedule or an i.i.d. guesser forward", _simulate_args),
-    "sweep": ("classify across a grid of discount factors", _sweep_args),
-}
-
-
 class _LazyParser(argparse.ArgumentParser):
     """A subcommand's parser, which is made, with its own arguments and the
     output flags, when it first parses: a command line builds the parser of
@@ -176,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     root.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = root.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
-    for name, (text, build) in _COMMANDS.items():
+    for name, (text, build, _, _) in _COMMANDS.items():
         sub.add_parser(name, help=text, build=build)
     return root
 
@@ -371,29 +360,30 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
     return {"rows": rows}, rows
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "enumerate": _cmd_enumerate,
-    "evaluate": _cmd_evaluate,
-    "oracle": _cmd_oracle,
-    "thresholds": _cmd_thresholds,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
+# each subcommand: its help line, what adds its own arguments, its handler
+# and the fields of its table rows that its CSV form prints, in this order
+_COMMANDS = {
+    "solve": ("classify the optimal family member", _solve_args, _cmd_solve,
+              ("kind", "index", "strategy", "payoff", "z_low", "z_high")),
+    "enumerate": ("list frontier family members", _enumerate_args, _cmd_enumerate,
+                  ("index", "strategy", "length", "prefix_successes", "cycle_length")),
+    "evaluate": ("discounted payoff of a strategy string", _evaluate_args, _cmd_evaluate,
+                 ("strategy", "delta", "payoff")),
+    "oracle": ("brute-force or DP value of the game", _oracle_args, _cmd_oracle,
+               ("mode", "horizon", "value", "best_sequence")),
+    "thresholds": ("breakeven discount roots z(1)..z(n)", _thresholds_args, _cmd_thresholds,
+                   ("n", "z", "residual")),
+    "simulate": ("play a schedule or an i.i.d. guesser forward", _simulate_args, _cmd_simulate,
+                 ("period", "action", "mean_num", "mean_den", "crossed")),
+    "sweep": ("classify across a grid of discount factors", _sweep_args, _cmd_sweep,
+              ("delta", "regime", "best_payoff", "z_low", "z_high")),
 }
+
+# a view of the handlers alone, which main looks up as a module global on
+# every call, so that a tracer can wrap each handler by replacing this dict
+_HANDLERS = {name: handler for name, (_, _, handler, _) in _COMMANDS.items()}
 
 _PARAM_SKIP = {"command", "format", "out", "force"}
-
-
-# the CSV form of each command: these fields of its table rows, in this order
-_CSV_COLUMNS = {
-    "solve": ("kind", "index", "strategy", "payoff", "z_low", "z_high"),
-    "enumerate": ("index", "strategy", "length", "prefix_successes", "cycle_length"),
-    "evaluate": ("strategy", "delta", "payoff"),
-    "oracle": ("mode", "horizon", "value", "best_sequence"),
-    "thresholds": ("n", "z", "residual"),
-    "simulate": ("period", "action", "mean_num", "mean_den", "crossed"),
-    "sweep": ("delta", "regime", "best_payoff", "z_low", "z_high"),
-}
 
 
 # exact types: a subclass value takes _dumps's nested path, which prints it alike
@@ -474,7 +464,7 @@ def render(args, payload: dict[str, Any], table: Table) -> str:
     if args.format == "csv":
         import csv
 
-        columns = _CSV_COLUMNS[args.command]
+        _, _, _, columns = _COMMANDS[args.command]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

@@ -34,13 +34,16 @@ import math
 import re
 from typing import Iterable, Iterator, Union
 
-from .belief import Action, Threshold, checked, start_slack
+from .belief import Action, Threshold, check_cap, checked, start_slack
 
 FamilyIndex = Union[int, float]  # 1, 2, ... or math.inf
 Run = tuple[Action, int]  # an action repeated count >= 1 times
 _WORD = re.compile("[sf]*")
 _RUN = re.compile("s+|f+")
 _ACTION = {a.value: a for a in Action}
+# most blocks of the walk one frontier_strategy reads; h^(10**6) of Beta(1, 3)
+# at cutoff 1/2 reads this many and took about 3 s and 320 MB
+WALK_LIMIT = 1_000_000
 
 
 class StrategyParseError(ValueError):
@@ -310,10 +313,16 @@ def frontier_strategy(alpha0: int, beta0: int, c: Threshold, index: FamilyIndex)
     i-th such opportunity; h^inf declines them all and is returned as a
     prefix plus a cycle of exactly den actions with num successes, so its
     long-run success rate is the cutoff itself. Both read ``_opportunities``,
-    so the cost is the number of blocks.
+    so the cost is the number of blocks: index for h^index, and at most
+    min(num, den - num) + 2 for h^inf, as each block after the first holds
+    a success and a failure and the cycle has num and den - num of them.
+    Raises LimitExceededError when that count is above WALK_LIMIT.
     """
     check_index(index)
-    blocks = _opportunities(alpha0, beta0, c)
+    walk = _opportunities(alpha0, beta0, c)
+    blocks = itertools.chain([next(walk)], walk)  # reading the first block checks the prior
+    need = min(c.num, c.den - c.num) + 2 if index == math.inf else index
+    check_cap(need, "frontier walk blocks", WALK_LIMIT)
     if index == math.inf:
         free, pad, counts = _infinite_parts(blocks, c)
         head = [(Action.SUCCESS, free), (Action.FAILURE, pad), (Action.SUCCESS, 1)]

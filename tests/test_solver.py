@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sandbag import (
     OptimalKind,
     ProblemInstance,
+    Threshold,
     breakeven_discount,
     classify,
     frontier_payoff,
@@ -20,6 +21,7 @@ from sandbag import (
     verify_ordering,
 )
 from sandbag.belief import split_slack
+from sandbag.oracle import value_iteration
 from sandbag.solver import TIE_TOL, regime, root_pair
 
 Z1 = breakeven_discount(1).z
@@ -250,6 +252,33 @@ def test_regime_answers_are_intervals_in_order(case):
     runs = [members for members, _ in itertools.groupby(answers)]
     ranks = [_REGIME_RANK[members] for members in runs]
     assert ranks == sorted(set(ranks)), runs  # strictly rising: no answer returns
+
+
+@st.composite
+def _near_root_instances(draw):
+    """A prior within the cutoff 1/(m+1), m <= 6 and alpha0 <= 3, and a delta
+    at one of its roots, a float step or 1e-9 or 1e-6 either side of one, or
+    anywhere in [0, 0.99)."""
+    m = draw(st.integers(1, 6))
+    alpha0 = draw(st.integers(1, 3))
+    beta0 = draw(st.integers(alpha0 * m, alpha0 * m + 3 * m))
+    _, k = split_slack(alpha0, beta0, m)
+    z = draw(st.sampled_from(root_pair(m, k)))
+    near = [z, math.nextafter(z, 0.0), math.nextafter(z, 1.0), z - 1e-9, z + 1e-9, z - 1e-6,
+            z + 1e-6]
+    delta = draw(st.one_of(st.sampled_from(near), st.floats(0.0, 0.99, exclude_max=True)))
+    return alpha0, beta0, m, delta
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)  # about 0.5 s
+@given(_near_root_instances())
+def test_classify_matches_value_iteration_at_and_near_the_roots(case):
+    """At a tie, a near tie or anywhere, the best member ``classify`` prices
+    is the game's value to 1e-8, by value iteration, which knows nothing of
+    the frontier family."""
+    alpha0, beta0, m, delta = case
+    best = max(classify(ProblemInstance(alpha0, beta0, m, delta)).payoffs.values())
+    assert abs(value_iteration(alpha0, beta0, Threshold.from_m(m), delta) - best) <= 1e-8
 
 
 class TestVerifyOrdering:

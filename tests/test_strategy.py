@@ -19,6 +19,7 @@ from sandbag import (
     greedy_violations,
     is_feasible,
     parse_strategy,
+    strategy,
 )
 from sandbag.strategy import check_index
 
@@ -238,6 +239,36 @@ class TestFrontierFamily:
     @pytest.mark.parametrize("index", [1, 2, 10**6, math.inf, float("inf")])
     def test_check_index_accepts_indices(self, index):
         check_index(index)
+
+    def test_walk_blocks_read_are_the_capped_count(self, monkeypatch):
+        """The counts that ``WALK_LIMIT`` caps are the blocks read: h^i reads
+        i, and h^inf reads min(num, den - num) + 2 at every reduced cutoff
+        with den <= 60, from every slack its first block can leave. With
+        alpha0 = 1 the start slack is num*beta0 - (den - num), and beta0 over
+        den - num consecutive values gives every residue mod den - num, as
+        num and den are coprime; the walk past the first block depends on
+        that residue alone."""
+        read = []
+        walk = strategy._opportunities
+
+        def counted(*args):
+            for block in walk(*args):
+                read.append(block)
+                yield block
+
+        monkeypatch.setattr(strategy, "_opportunities", counted)
+        for i in (1, 2, 7):
+            read.clear()
+            frontier_strategy(1, 3, C_HALF, i)
+            assert len(read) == i
+        for den in range(2, 61):
+            for num in range(1, den):
+                if math.gcd(num, den) != 1:
+                    continue
+                for beta0 in range(den, 2 * den - num):
+                    read.clear()
+                    frontier_strategy(1, beta0, Threshold(num, den), math.inf)
+                    assert len(read) == min(num, den - num) + 2, (num, den, beta0)
 
     def test_family_grid_feasible_and_greedy(self):
         for alpha0 in range(1, 6):
