@@ -5,12 +5,13 @@ version} by default, or flat CSV rows with --format csv. One table,
 ``_COMMANDS``, names each subcommand once, with its help line, what
 adds its arguments, its handler and its CSV columns. A handler returns
 its payload and its table, the list of row dicts it reports; the CSV
-columns are fields of those rows. The JSON text is the same bytes as
-``json.dumps(envelope, indent=2, sort_keys=True)``: flat parts are
-written by the C encoder, and a table's rows are filled from one
-template per key set, its constant columns encoded once and each other
-column in one C call. Results go to stdout unless --out is given; an
-existing output file is refused without --force.
+columns are fields of those rows. The JSON text is
+``json.dumps(envelope, indent=2, sort_keys=True)`` with the handler's
+table given as ``[]`` and ``_table``'s rows spliced into its line, the
+same bytes: the stdlib skips CPython's C encoder whenever ``indent`` is
+set, and ``_table`` prints each table column in one C call. Results go
+to stdout unless --out is given; an existing output file is refused
+without --force.
 
 ``build_parser`` makes the root parser and the seven subcommand help
 lines on every call, with no cache; a subcommand's parser is made, with
@@ -21,8 +22,8 @@ finds each run of one ``solver.regime`` answer by bisection too, as each
 answer holds on one interval of delta, and prices each run by one
 ``payoff.frontier_value`` call per member over the whole run.
 
-Exit codes: 0 success, 2 usage or validation error or an --out path
-that cannot be written, 3 input over a hard cap. ``belief.check_cap``
+Exit codes: 0 success, 2 usage or validation error or an --out path or
+stdout that cannot be written, 3 input over a hard cap. ``belief.check_cap``
 checks each cap after the input rules and before the work, and prints
 "error: <name> must be at most <limit>" with one of these names:
 - --n-max, --max-periods, --strategy word length (a finite word plays to
@@ -386,7 +387,7 @@ _HANDLERS = {name: handler for name, (_, _, handler, _) in _COMMANDS.items()}
 _PARAM_SKIP = {"command", "format", "out", "force"}
 
 
-# exact types: a subclass value takes _dumps's nested path, which prints it alike
+# exact types: a table holding a subclass value is left to json.dumps, which prints it alike
 _SCALARS = {str, int, float, bool, type(None)}
 _COLUMN = json.JSONEncoder(separators=("\n", ": "))  # an encoded scalar holds no raw newline
 
@@ -434,32 +435,6 @@ def _table(rows: Sequence, inner: str) -> list[str] | None:
     return texts
 
 
-def _dumps(obj: Any, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` with ``pad`` after each
-    newline. CPython's C encoder runs only without ``indent``, so a flat
-    container is encoded in one C call with the newline and indent in its
-    item separator, and a table (a list of flat non-empty dicts with str
-    keys) is filled row by row from templates by ``_table``. Every value is
-    still printed by the C encoder."""
-    inner = pad + "  "
-    is_dict = isinstance(obj, dict)
-    if not (obj and (is_dict or isinstance(obj, (list, tuple)))):
-        return json.dumps(obj)  # a scalar or an empty container: one line
-    if _flat(obj.values() if is_dict else obj):
-        s = json.JSONEncoder(sort_keys=True, separators=(",\n" + inner, ": ")).encode(obj)
-        return f"{s[0]}\n{inner}{s[1:-1]}\n{pad}{s[-1]}"
-    if is_dict and not all(isinstance(k, str) for k in obj):
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-    if not is_dict and (rows := _table(obj, inner)) is not None:
-        return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]"
-    if is_dict:
-        parts = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items())]
-    else:
-        parts = [_dumps(v, inner) for v in obj]
-    opening, closing = "{}" if is_dict else "[]"
-    return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{closing}"
-
-
 def render(args, payload: dict[str, Any], table: Table) -> str:
     if args.format == "csv":
         import csv
@@ -473,18 +448,32 @@ def render(args, payload: dict[str, Any], table: Table) -> str:
     params = {
         k: v for k, v in vars(args).items() if k not in _PARAM_SKIP and v is not None
     }
+    # json.dumps is given the table as [] and its rows are spliced into that
+    # line, the first "<key>": [] at result's indent after result opens (a
+    # raw newline comes only from the indent, so no string can mimic them)
+    key = next((k for k, v in payload.items() if v is table), None)
+    rows = None if key is None else _table(table, "      ")
     envelope = {
         "command": args.command,
         "params": params,
-        "result": payload,
+        "result": payload if rows is None else {**payload, key: []},
         "version": __version__,
     }
-    return _dumps(envelope) + "\n"
+    text = json.dumps(envelope, indent=2, sort_keys=True)
+    if rows is not None:
+        slot = f"\n    {json.dumps(key)}: []"
+        at = text.index(slot, text.index('\n  "result": {')) + len(slot) - 1
+        text = f"{text[:at]}\n      " + ",\n      ".join(rows) + f"\n    {text[at:]}"
+    return text + "\n"
 
 
 def _write_output(args, text: str) -> None:
     if args.out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from None
         return
     try:  # mode "x" refuses an existing file in the same call that opens it
         with open(args.out, "w" if args.force else "x", encoding="utf-8") as fh:

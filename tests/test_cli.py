@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib
 import importlib.util
@@ -12,7 +13,9 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -1106,6 +1109,19 @@ class TestOutputHandling:
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message.format(path=path)}\n")
         assert not (tmp_path / "no").exists()
 
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    def test_unwritable_stdout_exits_2(self, capsys, monkeypatch, fails):
+        class Full(io.StringIO):
+            def _full(self, *args):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stdout = Full()
+        setattr(stdout, fails, stdout._full)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code, out, err = run(capsys, "thresholds", "--n-max", "2")
+        message = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert (code, out, err) == (EXIT_USAGE, "", message)
+
     def test_repeated_runs_byte_identical(self, capsys):
         args = ("solve", "--alpha", "1", "--beta", "3", "--m", "1", "--delta", "0.77")
         _, first, _ = run(capsys, *args)
@@ -1124,8 +1140,9 @@ class TestOutputHandling:
         assert exc.value.code == EXIT_USAGE
 
 
-# The JSON writer: cli._dumps must print exactly what
-# json.dumps(obj, indent=2, sort_keys=True) prints.
+# The table writer: cli._table's rows, filled into a list at the table's
+# indent, must be exactly what json.dumps(rows, indent=2, sort_keys=True)
+# prints at that indent; everything else in an envelope is json.dumps's own.
 
 _TRICKY = ["},\n      {", "},\n    {", '", "', "}", "{", ": ", ",\n", "\\", "\u00e9\u2028",
            "%", "%s", "%%"]
@@ -1139,37 +1156,42 @@ _SCALARS = st.one_of(
     st.text(max_size=8),
     st.sampled_from(_TRICKY),
 )
-_ROWS = st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=4)
-_TABLES = st.lists(st.one_of(_ROWS, st.just({})), max_size=4)  # rows with different keys
-_JSON = st.recursive(
-    st.one_of(_SCALARS, _TABLES, st.just({}), st.just([])),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(_KEYS, inner, max_size=4)
-    ),
-    max_leaves=12,
-)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(_JSON)
-def test_dumps_matches_stdlib(obj):
-    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+def _filled(rows, pad: str) -> str:
+    """The list ``_table``'s rows fill when the list opens at indent ``pad``."""
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(cli._table(rows, inner)) + f"\n{pad}]"
+
+
+def _stdlib(rows, pad: str) -> str:
+    return json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "rows",
     [
-        {"rows": [{"a": 1, "b": "},\n      {"}, {"c": math.nan}], "x": {"y": []}},
-        [[{"a": 1}], [{}], {"t": [{"a": -0.0}]}],
-        {"k": (1, 2), "t": ({"a": 1}, {"b": 2})},
-        {"outer": {1: [2], 2: {"a": [3]}}},  # non-str keys in a nested dict
-        {"flat": {1.5: "x", True: None, 3: -math.inf}},
-        [{1: 2}, {1: 3}],  # not a table: a non-str key
-        [{"a": [1]}, {"a": [2]}],  # not a table: a column of lists
+        [{"a": 1, "b": "},\n      {"}, {"c": math.nan}],  # two key sets; a row break in a value
+        [{"a": 1}],
+        [{"a": -0.0}],
+        ({"a": 1}, {"b": 2}),  # a tuple of rows
     ],
 )
-def test_dumps_matches_stdlib_on_edge_shapes(obj):
-    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+def test_table_matches_stdlib_on_edge_shapes(rows):
+    for pad in ("", "    "):
+        assert _filled(rows, pad) == _stdlib(rows, pad)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{1: 2}, {1: 3}],  # a non-str key
+        [{"a": [1]}, {"a": [2]}],  # a column of lists
+        [{}],  # an empty row
+    ],
+)
+def test_table_refuses_what_is_not_a_table(rows):
+    assert cli._table(rows, "      ") is None
 
 
 # Tables of many rows sharing a key set: the shape every command prints.
@@ -1209,9 +1231,12 @@ def _same_key_tables(draw) -> list[dict]:
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_same_key_tables())
-def test_dumps_matches_stdlib_on_same_key_tables(table):
-    for obj in (table, {"result": {"rows": table}}):
-        assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+def test_table_matches_stdlib_on_same_key_tables(table):
+    for pad in ("", "    "):  # a table alone, and a table as an envelope holds it
+        if table:
+            assert _filled(table, pad) == _stdlib(table, pad)
+        else:
+            assert cli._table(table, pad + "  ") is None
 
 
 def test_table_encodes_only_varying_columns_per_row(capsys, monkeypatch):
@@ -1287,30 +1312,65 @@ def test_every_envelope_matches_stdlib_render(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_OK, (argv, err)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_dumps", lambda obj: json.dumps(obj, indent=2, sort_keys=True))
+            m.setattr(cli, "_table", lambda rows, inner: None)  # json.dumps writes it all
             assert run(capsys, *argv) == (code, out, err), argv
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "key, argv",
     [
-        ("sweep", "--alpha", "1", "--beta", "5", "--m", "2", "--delta-min", "0.5",
-         "--delta-max", "0.9", "--step", "0.001"),
-        ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
-         "--strategy", "ssfs(fs)*", "--max-periods", "50", "--delta", "0.5"),
-        ("thresholds", "--n-max", "40"),
+        ("rows", ("sweep", "--alpha", "1", "--beta", "5", "--m", "2", "--delta-min", "0.5",
+                  "--delta-max", "0.9", "--step", "0.001")),
+        ("records", ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
+                     "--strategy", "ssfs(fs)*", "--max-periods", "50", "--delta", "0.5")),
+        ("roots", ("thresholds", "--n-max", "40")),
+        ("strategies", ("enumerate", "--alpha", "1", "--beta", "3", "--c-num", "1",
+                        "--c-den", "2", "--max-index", "40")),
     ],
 )
-def test_render_never_runs_the_pure_python_encoder(capsys, monkeypatch, argv):
-    def fail(*args, **kwargs):
-        raise AssertionError("pure-Python JSON encoder called")
+def test_render_leaves_no_table_to_the_pure_python_encoder(capsys, monkeypatch, key, argv):
+    """The pins cannot tell a table that ``_table`` wrote from one that fell
+    back to json.dumps, whose pure-Python encoder writes the same bytes
+    slowly: so ``_table`` must write the handler's table, and the encoder,
+    if it runs, must see that table as []."""
+    handler, table = cli._HANDLERS[argv[0]], cli._table
+    make_iterencode = json.encoder._make_iterencode
+    returned, tabled, encoded = [], [], []
 
-    monkeypatch.setattr(json.encoder, "_make_iterencode", fail)
-    with pytest.raises(AssertionError, match="pure-Python"):
-        json.dumps({"a": [1]}, indent=2)  # the patch reaches the indent path
+    def handle(args):
+        returned.append(handler(args))
+        return returned[-1]
+
+    def write_table(rows, inner):
+        tabled.append((rows, table(rows, inner)))
+        return tabled[-1][1]
+
+    def make(*args, **kwargs):
+        iterencode = make_iterencode(*args, **kwargs)
+        return lambda o, level: encoded.append(o) or iterencode(o, level)
+
+    monkeypatch.setitem(cli._HANDLERS, argv[0], handle)
+    monkeypatch.setattr(cli, "_table", write_table)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", make)
     code, out, err = run(capsys, *argv)
-    assert code == EXIT_OK and err == ""
-    assert json.loads(out)["command"] == argv[0]
+    assert (code, err) == (EXIT_OK, "")
+    [(payload, rows)] = returned
+    [(seen, texts)] = tabled
+    assert seen is rows and payload[key] is rows and len(texts) == len(rows) > 1
+    assert all(o["result"][key] == [] for o in encoded)
+    assert json.loads(out)["result"][key] == rows
+
+
+def test_table_rows_land_in_result_when_params_hold_its_key():
+    """A params key equal to the table's key prints as ``"rows": []`` at the
+    same indent before ``result``; the rows must still go into ``result``."""
+    args = argparse.Namespace(command="sweep", format="json", out=None, force=False, alpha=1,
+                              rows=[])
+    table = [{"delta": 0.5, "regime": "h1"}, {"delta": 0.6, "regime": "h2"}]
+    text = cli.render(args, {"rows": table}, table)
+    assert text == json.dumps({"command": "sweep", "params": {"alpha": 1, "rows": []},
+                               "result": {"rows": table}, "version": cli.__version__},
+                              indent=2, sort_keys=True) + "\n"
 
 
 def _not_json(name: str):
