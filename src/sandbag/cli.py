@@ -4,12 +4,14 @@ Every subcommand emits a JSON envelope {command, params, result,
 version} by default, or flat CSV rows with --format csv. One table,
 ``_COMMANDS``, names each subcommand once, with its help line, what
 adds its arguments, its handler and its CSV columns. A handler returns
-its payload and its table, the list of row dicts it reports; the CSV
-columns are fields of those rows. The JSON text is
+its payload and its table, in blocks of rows: each block is a row count
+and its columns, where a list holds one value per row and any other
+value is shared by every row. The CSV columns are keys of those blocks,
+empty in a block that lacks one. The JSON text is
 ``json.dumps(envelope, indent=2, sort_keys=True)`` with the handler's
 table given as ``[]`` and ``_table``'s rows spliced into its line, the
 same bytes: the stdlib skips CPython's C encoder whenever ``indent`` is
-set, and ``_table`` prints each table column in one C call. Results go
+set, and ``_table`` prints each list column in one C call. Results go
 to stdout unless --out is given; an existing output file is refused
 without --force.
 
@@ -171,7 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-Table = list[dict[str, Any]]
+# a table: blocks of (n, columns), n >= 1 rows each over non-empty str-keyed
+# columns; a list column holds one value per row, and any other value (a
+# str, int, float, bool or None) is shared by every row of its block
+Table = list[tuple[int, dict[str, Any]]]
 
 
 def _cmd_solve(args) -> tuple[dict[str, Any], Table]:
@@ -183,26 +188,20 @@ def _cmd_solve(args) -> tuple[dict[str, Any], Table]:
     for x in members:
         runs = x.prefix_runs + (x.cycle_runs or ())
         check_cap(sum(n for _, n in runs), "strategy word length", WORD_LIMIT)
-    rows = [
-        {
-            "kind": result.kind.value,
-            "index": index_label(i),
-            "strategy": format_strategy(x),
-            "payoff": result.payoffs[i],
-            "z_low": result.z_low,
-            "z_high": result.z_high,
-        }
-        for i, x in zip(result.members, members)
-    ]
+    words = list(map(format_strategy, members))
+    indices = list(map(index_label, result.members))
+    payoffs = [result.payoffs[i] for i in result.members]
     payload = {
         "kind": result.kind.value,
-        "members": [r["strategy"] for r in rows],
-        "indices": [r["index"] for r in rows],
-        "payoffs": {r["index"]: r["payoff"] for r in rows},
+        "members": words,
+        "indices": indices,
+        "payoffs": dict(zip(indices, payoffs)),
         "z_low": result.z_low,
         "z_high": result.z_high,
     }
-    return payload, rows
+    columns = {"kind": result.kind.value, "index": indices, "strategy": words,
+               "payoff": payoffs, "z_low": result.z_low, "z_high": result.z_high}
+    return payload, [(len(words), columns)]
 
 
 def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
@@ -223,24 +222,25 @@ def _cmd_enumerate(args) -> tuple[dict[str, Any], Table]:
     cycle = "".join(map(operator.mul, itertools.cycle("sf"), counts))
     h_inf = {"index": "hinf", "strategy": f"{'s' * free}{'f' * pad}s({cycle})*", "length": None,
              "prefix_successes": free + 1, "cycle_length": c.den, "cycle_successes": c.num}
-    entries: Table = []
+    words = []
     word = ""  # the walk so far; h^i is word + "s"
-    successes = 0
-    for i, (pos, free, pad) in enumerate(blocks, 1):
+    for _, free, pad in blocks:
         word += "s" * free
-        successes += free
-        entries.append({"index": f"h{i}", "strategy": word + "s", "length": pos + free + 1,
-                        "prefix_successes": successes + 1})
+        words.append(word + "s")
         word += "f" * pad
-    entries.append(h_inf)
-    return {"strategies": entries}, entries
+    successes = itertools.accumulate(free for _, free, _ in blocks)
+    finite = {"index": [f"h{i}" for i in range(1, len(blocks) + 1)], "strategy": words,
+              "length": [pos + free + 1 for pos, free, _ in blocks],
+              "prefix_successes": [s + 1 for s in successes]}
+    table = [(len(blocks), finite), (1, h_inf)]
+    return {"strategies": table}, table
 
 
 def _cmd_evaluate(args) -> tuple[dict[str, Any], Table]:
     x = parse_strategy(args.strategy)
     value = payoff(x, args.delta)
     payload = {"strategy": format_strategy(x), "delta": args.delta, "payoff": value}
-    return payload, [payload]
+    return payload, [(1, payload)]
 
 
 def _cmd_oracle(args) -> tuple[dict[str, Any], Table]:
@@ -261,15 +261,16 @@ def _cmd_oracle(args) -> tuple[dict[str, Any], Table]:
     else:
         value = oracle.dp_value(args.alpha, args.beta, c, args.delta, args.horizon)
         payload.update(value=value, horizon=args.horizon)
-    return payload, [payload]
+    return payload, [(1, payload)]
 
 
 def _cmd_thresholds(args) -> tuple[dict[str, Any], Table]:
     check_int(args.n_max, "--n-max", 1)
     check_cap(args.n_max, "--n-max", ROW_LIMIT)
     roots = [breakeven_discount(n, tol=args.tol) for n in range(1, args.n_max + 1)]
-    rows = [{"n": r.n, "z": r.z, "residual": r.residual} for r in roots]
-    return {"roots": rows}, rows
+    n, z, residual = map(list, zip(*roots))
+    table = [(len(roots), {"n": n, "z": z, "residual": residual})]
+    return {"roots": table}, table
 
 
 def _cmd_simulate(args) -> tuple[dict[str, Any], Table]:
@@ -291,24 +292,18 @@ def _cmd_simulate(args) -> tuple[dict[str, Any], Table]:
         cfg = sim.GuesserConfig(args.guesser_p, args.seed)
         traj = sim.play_guesser(args.alpha, args.beta, c, cfg, args.delta, args.max_periods)
         source = {"guesser_p": args.guesser_p, "seed": args.seed}
-    records = [
-        {
-            "period": r.period,
-            "action": r.action.value,
-            "mean_num": r.mean_num,
-            "mean_den": r.mean_den,
-            "crossed": r.crossed,
-        }
-        for r in traj.records
-    ]
+    period, action, mean_num, mean_den, crossed = map(list, zip(*traj.records))
+    columns = {"period": period, "action": [a.value for a in action], "mean_num": mean_num,
+               "mean_den": mean_den, "crossed": crossed}
+    table = [(len(period), columns)]
     payload = {
         **source,
-        "records": records,
+        "records": table,
         "terminated": traj.terminated,
         "termination_period": traj.termination_period,
         "discounted_payoff": traj.discounted_payoff,
     }
-    return payload, records
+    return payload, table
 
 
 def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
@@ -332,13 +327,13 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
     grid = [round(args.delta_min + i * args.step, 12) for i in range(points)]
     # round(delta_min + i*step, 12) never falls as i grows, so the grid is
     # sorted: it keeps the points up to delta_max + 1e-12, and those past
-    # delta_max print as delta_max
+    # delta_max print as delta_max: the grid keeps its first end points
     end = bisect.bisect_right(grid, args.delta_max + 1e-12)
     inside = bisect.bisect_right(grid, args.delta_max, 0, end)
     grid[inside:] = itertools.repeat(args.delta_max, end - inside)
     # each run of points with one regime answer is priced in one column per
     # member; a tie keeps the best member at each point
-    rows: Table = []
+    labels, best = [], []
     start = 0
     while start < end:
         kind, members = regime(grid[start], z_low, z_high, k, TIE_TOL)
@@ -352,13 +347,13 @@ def _cmd_sweep(args) -> tuple[dict[str, Any], Table]:
         )
         run = grid[start:stop]
         label = index_label(members[0]) if kind is OptimalKind.UNIQUE else "tie"
-        best = map(max, zip(*[frontier_value(q, k, args.m, j, run) for j in members]))
-        rows += [
-            {"delta": d, "regime": label, "best_payoff": v, "z_low": z_low, "z_high": z_high}
-            for d, v in zip(run, best)
-        ]
+        labels += itertools.repeat(label, stop - start)
+        best += map(max, zip(*[frontier_value(q, k, args.m, j, run) for j in members]))
         start = stop
-    return {"rows": rows}, rows
+    columns = {"delta": grid, "regime": labels, "best_payoff": best, "z_low": z_low,
+               "z_high": z_high}
+    table = [(end, columns)]
+    return {"rows": table}, table
 
 
 # each subcommand: its help line, what adds its own arguments, its handler
@@ -387,13 +382,7 @@ _HANDLERS = {name: handler for name, (_, _, handler, _) in _COMMANDS.items()}
 _PARAM_SKIP = {"command", "format", "out", "force"}
 
 
-# exact types: a table holding a subclass value is left to json.dumps, which prints it alike
-_SCALARS = {str, int, float, bool, type(None)}
 _COLUMN = json.JSONEncoder(separators=("\n", ": "))  # an encoded scalar holds no raw newline
-
-
-def _flat(values) -> bool:
-    return set(map(type, values)) <= _SCALARS
 
 
 def _column(values: list) -> list[str]:
@@ -401,36 +390,26 @@ def _column(values: list) -> list[str]:
     return _COLUMN.encode(values)[1:-1].split("\n")
 
 
-def _table(rows: Sequence, inner: str) -> list[str] | None:
-    """The text of each row of a table, or None if ``rows`` is not one: a
-    table is a list of non-empty dicts with str keys and scalar values.
-    Each run of rows that share a key set fills one row template. A column
-    holding one object in every row of its run is encoded once, into the
-    template (by identity: ``-0.0 == 0.0`` and ``True == 1`` encode
-    differently); any other column is one ``_column`` call, its texts
-    joined into the template's slots row by row."""
-    if set(map(type, rows)) != {dict} or not all(rows):
-        return None
+def _table(table: Table, inner: str) -> list[str]:
+    """The text of each row of a table. Each block fills one row template
+    with its keys sorted: a shared value is encoded once, into the template,
+    and a list column is one ``_column`` call, its texts joined into the
+    template's slots row by row."""
     texts = []
-    for keys, run in itertools.groupby(rows, dict.keys):
-        if set(map(type, keys)) != {str}:
-            return None
-        run = list(run)
+    for n, columns in table:
         fields, varying = [], []
-        for key in sorted(keys):
-            column = list(map(operator.itemgetter(key), run))
-            if not _flat(column):
-                return None
-            if all(map(operator.is_, column, itertools.repeat(column[0]))):
-                value = json.dumps(column[0])
-            else:
+        for key in sorted(columns):
+            value = columns[key]
+            if isinstance(value, list):
+                varying.append(_column(value))
                 value = "\0"  # a slot: encoded keys and values hold no raw NUL
-                varying.append(_column(column))
+            else:
+                value = json.dumps(value)
             fields.append(f"\n{inner}  {json.dumps(key)}: {value}")
         literals = ("{" + ",".join(fields) + f"\n{inner}}}").split("\0")
-        parts = [itertools.repeat(literals[0], len(run))]
+        parts = [itertools.repeat(literals[0], n)]
         for column, literal in zip(varying, literals[1:]):
-            parts += [column, itertools.repeat(literal, len(run))]
+            parts += [column, itertools.repeat(literal, n)]
         texts += map("".join, zip(*parts))
     return texts
 
@@ -439,11 +418,14 @@ def render(args, payload: dict[str, Any], table: Table) -> str:
     if args.format == "csv":
         import csv
 
-        _, _, _, columns = _COMMANDS[args.command]
+        _, _, _, keys = _COMMANDS[args.command]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([row.get(k) for k in columns] for row in table)
+        writer.writerow(keys)
+        for n, columns in table:  # a shared value, or a missing key's None, fills each row
+            cells = (columns.get(k) for k in keys)
+            writer.writerows(zip(*(v if isinstance(v, list) else itertools.repeat(v, n)
+                                   for v in cells)))
         return buf.getvalue()
     params = {
         k: v for k, v in vars(args).items() if k not in _PARAM_SKIP and v is not None
@@ -452,18 +434,18 @@ def render(args, payload: dict[str, Any], table: Table) -> str:
     # line, the first "<key>": [] at result's indent after result opens (a
     # raw newline comes only from the indent, so no string can mimic them)
     key = next((k for k, v in payload.items() if v is table), None)
-    rows = None if key is None else _table(table, "      ")
     envelope = {
         "command": args.command,
         "params": params,
-        "result": payload if rows is None else {**payload, key: []},
+        "result": payload if key is None else {**payload, key: []},
         "version": __version__,
     }
     text = json.dumps(envelope, indent=2, sort_keys=True)
-    if rows is not None:
+    if key is not None:
         slot = f"\n    {json.dumps(key)}: []"
         at = text.index(slot, text.index('\n  "result": {')) + len(slot) - 1
-        text = f"{text[:at]}\n      " + ",\n      ".join(rows) + f"\n    {text[at:]}"
+        rows = ",\n      ".join(_table(table, "      "))
+        text = f"{text[:at]}\n      {rows}\n    {text[at:]}"
     return text + "\n"
 
 

@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+import unittest.mock
 from pathlib import Path
 
 import jsonschema
@@ -80,6 +81,16 @@ def run_json(capsys, *argv: str) -> dict:
 def parse_csv(text: str) -> tuple[list[str], list[list[str]]]:
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def _rows(table) -> list[dict]:
+    """A handler's table as row dicts: each block gives n rows, a list
+    column one value to each row and any other value the same to all."""
+    return [
+        {k: v[i] if isinstance(v, list) else v for k, v in columns.items()}
+        for n, columns in table
+        for i in range(n)
+    ]
 
 
 class TestSolve:
@@ -163,7 +174,7 @@ class TestEnumerate:
         # actions, since the total cap bounds the rows through that
         for alpha, beta, num, den in _priors_and_cutoffs(12, 3, 20):
             args = argparse.Namespace(alpha=alpha, beta=beta, c_num=num, c_den=den, max_index=9)
-            _, rows = cli._cmd_enumerate(args)
+            rows = _rows(cli._cmd_enumerate(args)[1])
             c = Threshold(num, den)
             for i, row in zip([*range(1, 10), math.inf], rows, strict=True):
                 x = frontier_strategy(alpha, beta, c, i)
@@ -194,7 +205,7 @@ class TestEnumerate:
         # it must print what frontier_strategy builds and format_strategy writes
         for alpha, beta, num, den in [*_boundary_priors(40), (1, 2, 50001, 100003)]:
             args = argparse.Namespace(alpha=alpha, beta=beta, c_num=num, c_den=den, max_index=1)
-            _, rows = cli._cmd_enumerate(args)
+            rows = _rows(cli._cmd_enumerate(args)[1])
             x = frontier_strategy(alpha, beta, Threshold(num, den), math.inf)
             assert rows[-1]["strategy"] == format_strategy(x), (alpha, beta, num, den)
 
@@ -527,6 +538,12 @@ class TestSweep:
         assert calls["regime"] <= runs * (math.ceil(math.log2(91)) + 1)
 
 
+def _sweep_flags(case) -> tuple[str, ...]:
+    a, b, m, lo, hi, step = case
+    return ("--alpha", str(a), "--beta", str(b), "--m", str(m),
+            "--delta-min", repr(lo), "--delta-max", repr(hi), "--step", repr(step))
+
+
 def _sweep_rows(*argv: str) -> list[dict]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -574,10 +591,7 @@ def test_sweep_rows_equal_per_point_classify(case):
     """Each sweep row equals the one built from classify at that point alone,
     on fine grids through a tie band and on grids across whole regimes."""
     a, b, m, lo, hi, step = case
-    rows = _sweep_rows(
-        "--alpha", str(a), "--beta", str(b), "--m", str(m),
-        "--delta-min", repr(lo), "--delta-max", repr(hi), "--step", repr(step),
-    )
+    rows = _sweep_rows(*_sweep_flags(case))
     assert rows
     for row in rows:
         res = classify(ProblemInstance(a, b, m, row["delta"]))
@@ -638,8 +652,9 @@ def test_csv_header_and_first_row(capsys, argv, header, first):
 
 
 def test_every_command_has_csv_columns_and_a_schema():
-    """Each ``_COMMANDS`` entry has a schema, and its CSV columns are distinct
-    fields of the rows that its ``_ENVELOPE_ARGVS`` argvs report."""
+    """Each ``_COMMANDS`` entry has a schema, its handler returns blocks on
+    each of its ``_ENVELOPE_ARGVS`` argvs, and its CSV columns are distinct
+    fields of the rows those blocks hold."""
     schemas = {p.name.removesuffix(".schema.json") for p in SCHEMA_DIR.glob("*.schema.json")}
     assert set(cli._COMMANDS) == schemas - {"envelope"}
     assert len(cli._COMMANDS) == 7
@@ -648,7 +663,8 @@ def test_every_command_has_csv_columns_and_a_schema():
         fields = set()
         for argv in (a for a in _ENVELOPE_ARGVS if a[0] == name):
             _, table = handler(cli.build_parser().parse_args(argv))
-            fields = fields.union(*table)
+            _assert_blocks(table)
+            fields = fields.union(*_rows(table))
         assert columns and len(set(columns)) == len(columns), name
         assert set(columns) <= fields, (name, set(columns) - fields)
 
@@ -1142,7 +1158,8 @@ class TestOutputHandling:
 
 # The table writer: cli._table's rows, filled into a list at the table's
 # indent, must be exactly what json.dumps(rows, indent=2, sort_keys=True)
-# prints at that indent; everything else in an envelope is json.dumps's own.
+# prints at that indent for the table's rows, and render's CSV what
+# csv.writer prints for them; everything else in an envelope is json.dumps's own.
 
 _TRICKY = ["},\n      {", "},\n    {", '", "', "}", "{", ": ", ",\n", "\\", "\u00e9\u2028",
            "%", "%s", "%%"]
@@ -1158,85 +1175,101 @@ _SCALARS = st.one_of(
 )
 
 
-def _filled(rows, pad: str) -> str:
+def _filled(table, pad: str) -> str:
     """The list ``_table``'s rows fill when the list opens at indent ``pad``."""
     inner = pad + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(cli._table(rows, inner)) + f"\n{pad}]"
+    return f"[\n{inner}" + f",\n{inner}".join(cli._table(table, inner)) + f"\n{pad}]"
 
 
 def _stdlib(rows, pad: str) -> str:
     return json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
+def _stdlib_csv(keys, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([row.get(k) for k in keys] for row in rows)
+    return buf.getvalue()
+
+
+def _outcome(write):
+    """What ``write()`` returns, or the error it raises: csv.writer refuses
+    a NUL on CPython 3.10."""
+    try:
+        return write()
+    except csv.Error as exc:
+        return repr(exc)
+
+
+def _assert_csv_matches_stdlib(table) -> None:
+    """render's CSV of a table, over every key of its blocks and one that
+    none holds, is csv.writer's over each row's ``row.get(k)``."""
+    keys = [*dict.fromkeys(k for _, columns in table for k in columns), "(absent)"]
+    args = argparse.Namespace(command="sweep", format="csv")
+    with unittest.mock.patch.dict(cli._COMMANDS, sweep=("", None, None, keys)):
+        got = _outcome(lambda: cli.render(args, {}, table))
+    assert got == _outcome(lambda: _stdlib_csv(keys, _rows(table)))
+
+
 @pytest.mark.parametrize(
     "rows",
     [
-        [{"a": 1, "b": "},\n      {"}, {"c": math.nan}],  # two key sets; a row break in a value
-        [{"a": 1}],
-        [{"a": -0.0}],
-        ({"a": 1}, {"b": 2}),  # a tuple of rows
+        [(1, {"a": 1, "b": "},\n      {"}), (1, {"c": math.nan})],  # two key sets; a row break
+        [(1, {"a": 1})],
+        [(1, {"a": -0.0})],
+        # equal values that print differently, in list columns; shared NaN and infinities
+        [(3, {"a": [True, 1, 1.0], "b": [-0.0, 0.0, False], "c": math.inf}),
+         (2, {"a": [math.nan, 0], "d": -math.inf, "e": math.nan})],
+        [(2, {"},\n    {": ["\\", '", "'], ": ": "},\n      {", "%s": ["\u00e9\u2028", None]})],
     ],
 )
 def test_table_matches_stdlib_on_edge_shapes(rows):
     for pad in ("", "    "):
-        assert _filled(rows, pad) == _stdlib(rows, pad)
+        assert _filled(rows, pad) == _stdlib(_rows(rows), pad)
+    _assert_csv_matches_stdlib(rows)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [{1: 2}, {1: 3}],  # a non-str key
-        [{"a": [1]}, {"a": [2]}],  # a column of lists
-        [{}],  # an empty row
-    ],
-)
-def test_table_refuses_what_is_not_a_table(rows):
-    assert cli._table(rows, "      ") is None
-
-
-# Tables of many rows sharing a key set: the shape every command prints.
+# Tables of one block, or of two blocks over different key sets.
 _CELLS = st.one_of(_SCALARS, st.sampled_from(_TRICKY))
 # equal values that print differently
 _TWINS = st.sampled_from([(True, 1), (False, 0), (-0.0, 0.0), (1, 1.0), (0.0, False)])
 
 
-def _draw_run(draw, keys: list[str]) -> list[dict]:
-    """0-40 rows over keys; each column holds one shared object, equal but
-    distinct objects (a JSON round trip copies a float, str or big int),
-    values drawn per row, or a mix of two equal values that print
-    differently."""
-    n = draw(st.integers(0, 40))
-    columns = []
-    for _ in keys:
-        kind = draw(st.sampled_from(["shared", "equal", "drawn", "twins"]))
-        if kind == "drawn":
-            columns.append(draw(st.lists(_CELLS, min_size=n, max_size=n)))
-        elif kind == "twins":
-            columns.append(draw(st.lists(st.sampled_from(draw(_TWINS)), min_size=n, max_size=n)))
+def _draw_block(draw, keys: list[str]) -> tuple[int, dict]:
+    """1-40 rows over keys; each key holds one shared value, a list column
+    of values drawn per row, or a list column mixing two equal values that
+    print differently."""
+    n = draw(st.integers(1, 40))
+    columns = {}
+    for key in keys:
+        kind = draw(st.sampled_from(["shared", "drawn", "twins"]))
+        if kind == "shared":
+            columns[key] = draw(_CELLS)
+        elif kind == "drawn":
+            columns[key] = draw(st.lists(_CELLS, min_size=n, max_size=n))
         else:
-            v = draw(_CELLS)
-            columns.append([v] * n if kind == "shared" else [json.loads(json.dumps(v)) for _ in range(n)])
-    return [dict(zip(keys, row)) for row in zip(*columns)]
+            columns[key] = draw(st.lists(st.sampled_from(draw(_TWINS)), min_size=n, max_size=n))
+    return n, columns
 
 
 @st.composite
-def _same_key_tables(draw) -> list[dict]:
+def _block_tables(draw) -> list[tuple[int, dict]]:
     key_sets = st.lists(_KEYS, min_size=1, max_size=4, unique=True)
     first = draw(key_sets)
-    table = _draw_run(draw, first)
+    table = [_draw_block(draw, first)]
     if draw(st.booleans()):
-        table += _draw_run(draw, draw(key_sets.filter(lambda ks: set(ks) != set(first))))
+        table.append(_draw_block(draw, draw(key_sets.filter(lambda ks: set(ks) != set(first)))))
     return table
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(_same_key_tables())
+@given(_block_tables())
 def test_table_matches_stdlib_on_same_key_tables(table):
+    rows = _rows(table)
     for pad in ("", "    "):  # a table alone, and a table as an envelope holds it
-        if table:
-            assert _filled(table, pad) == _stdlib(table, pad)
-        else:
-            assert cli._table(table, pad + "  ") is None
+        assert _filled(table, pad) == _stdlib(rows, pad)
+    _assert_csv_matches_stdlib(table)
 
 
 def test_table_encodes_only_varying_columns_per_row(capsys, monkeypatch):
@@ -1306,59 +1339,26 @@ _ENVELOPE_ARGVS = [
 ]
 
 
+def _with_rows(payload, table):
+    """A handler's answer with the payload's table given as row dicts, which
+    render then leaves to json.dumps."""
+    return {k: _rows(v) if v is table else v for k, v in payload.items()}, table
+
+
 def test_every_envelope_matches_stdlib_render(capsys, monkeypatch):
+    """Each envelope is json.dumps's text of the envelope with its table's
+    rows in place, and its CSV is csv.writer's over those rows."""
     assert {argv[0] for argv in _ENVELOPE_ARGVS} == set(cli._HANDLERS)
     for argv in _ENVELOPE_ARGVS:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_OK, (argv, err)
+        handler = cli._HANDLERS[argv[0]]
         with monkeypatch.context() as m:
-            m.setattr(cli, "_table", lambda rows, inner: None)  # json.dumps writes it all
+            m.setitem(cli._HANDLERS, argv[0], lambda args: _with_rows(*handler(args)))
             assert run(capsys, *argv) == (code, out, err), argv
-
-
-@pytest.mark.parametrize(
-    "key, argv",
-    [
-        ("rows", ("sweep", "--alpha", "1", "--beta", "5", "--m", "2", "--delta-min", "0.5",
-                  "--delta-max", "0.9", "--step", "0.001")),
-        ("records", ("simulate", "--alpha", "1", "--beta", "3", "--c-num", "1", "--c-den", "2",
-                     "--strategy", "ssfs(fs)*", "--max-periods", "50", "--delta", "0.5")),
-        ("roots", ("thresholds", "--n-max", "40")),
-        ("strategies", ("enumerate", "--alpha", "1", "--beta", "3", "--c-num", "1",
-                        "--c-den", "2", "--max-index", "40")),
-    ],
-)
-def test_render_leaves_no_table_to_the_pure_python_encoder(capsys, monkeypatch, key, argv):
-    """The pins cannot tell a table that ``_table`` wrote from one that fell
-    back to json.dumps, whose pure-Python encoder writes the same bytes
-    slowly: so ``_table`` must write the handler's table, and the encoder,
-    if it runs, must see that table as []."""
-    handler, table = cli._HANDLERS[argv[0]], cli._table
-    make_iterencode = json.encoder._make_iterencode
-    returned, tabled, encoded = [], [], []
-
-    def handle(args):
-        returned.append(handler(args))
-        return returned[-1]
-
-    def write_table(rows, inner):
-        tabled.append((rows, table(rows, inner)))
-        return tabled[-1][1]
-
-    def make(*args, **kwargs):
-        iterencode = make_iterencode(*args, **kwargs)
-        return lambda o, level: encoded.append(o) or iterencode(o, level)
-
-    monkeypatch.setitem(cli._HANDLERS, argv[0], handle)
-    monkeypatch.setattr(cli, "_table", write_table)
-    monkeypatch.setattr(json.encoder, "_make_iterencode", make)
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (EXIT_OK, "")
-    [(payload, rows)] = returned
-    [(seen, texts)] = tabled
-    assert seen is rows and payload[key] is rows and len(texts) == len(rows) > 1
-    assert all(o["result"][key] == [] for o in encoded)
-    assert json.loads(out)["result"][key] == rows
+        _, table = handler(cli.build_parser().parse_args(argv))
+        rows = _stdlib_csv(cli._COMMANDS[argv[0]][3], _rows(table))
+        assert run(capsys, *argv, "--format", "csv") == (EXIT_OK, rows, ""), argv
 
 
 def test_table_rows_land_in_result_when_params_hold_its_key():
@@ -1366,11 +1366,64 @@ def test_table_rows_land_in_result_when_params_hold_its_key():
     same indent before ``result``; the rows must still go into ``result``."""
     args = argparse.Namespace(command="sweep", format="json", out=None, force=False, alpha=1,
                               rows=[])
-    table = [{"delta": 0.5, "regime": "h1"}, {"delta": 0.6, "regime": "h2"}]
+    table = [(2, {"delta": [0.5, 0.6], "regime": ["h1", "h2"]})]
     text = cli.render(args, {"rows": table}, table)
     assert text == json.dumps({"command": "sweep", "params": {"alpha": 1, "rows": []},
-                               "result": {"rows": table}, "version": cli.__version__},
+                               "result": {"rows": _rows(table)}, "version": cli.__version__},
                               indent=2, sort_keys=True) + "\n"
+
+
+# The handler contract that _table and render's CSV branch rely on, checked
+# here rather than on every render.
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+
+
+def _assert_blocks(table) -> None:
+    """A table is a non-empty list of (n, columns) blocks, n >= 1, with
+    non-empty str-keyed columns; a list column holds exactly n values (zip
+    would cut a block's rows short), and every value, shared or in a
+    column, is of an exact JSON scalar type."""
+    assert type(table) is list and table
+    for n, columns in table:
+        assert type(n) is int and n >= 1 and type(columns) is dict and columns
+        for key, value in columns.items():
+            assert type(key) is str
+            if type(value) is list:
+                assert len(value) == n, key
+            else:
+                value = [value]
+            assert set(map(type, value)) <= _SCALAR_TYPES, key
+
+
+def _handler_table(argv) -> list:
+    return cli._HANDLERS[argv[0]](cli.build_parser().parse_args(argv))[1]
+
+
+@st.composite
+def _simulate_argvs(draw) -> tuple[str, ...]:
+    """A prior at or below a cutoff num/den, and a schedule that ends in a
+    cycle or an i.i.d. guesser, for 1-300 periods."""
+    den = draw(st.integers(2, 6))
+    num = draw(st.integers(1, den - 1))
+    alpha = draw(st.integers(1, 3))
+    beta = -(-(den - num) * alpha // num) + draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        word = st.text("sf", max_size=4)
+        source = ("--strategy", f"{draw(word)}({draw(word.filter(bool))})*")
+    else:
+        p, seed = draw(st.floats(0, 1)), draw(st.integers(0, 99))
+        source = ("--guesser-p", repr(p), "--seed", str(seed))
+    return ("simulate", "--alpha", str(alpha), "--beta", str(beta), "--c-num", str(num),
+            "--c-den", str(den), *source, "--max-periods", str(draw(st.integers(1, 300))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(
+    _simulate_argvs(),
+    st.one_of(_straddling_sweeps(), _wide_sweeps()).map(lambda case: ("sweep", *_sweep_flags(case))),
+))
+def test_drawn_sweeps_and_simulations_return_blocks(argv):
+    _assert_blocks(_handler_table(argv))
 
 
 def _not_json(name: str):
