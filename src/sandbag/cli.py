@@ -27,16 +27,7 @@ answer holds on one interval of delta, and prices each run by one
 Exit codes: 0 success, 2 usage or validation error or an --out path or
 stdout that cannot be written, 3 input over a hard cap. ``belief.check_cap``
 checks each cap after the input rules and before the work, and prints
-"error: <name> must be at most <limit>" with one of these names:
-- --n-max, --max-periods, --strategy word length (a finite word plays to
-  its own length) and sweep grid points: ROW_LIMIT (100,000) rows;
-- strategy word length (solve) and total actions in all words (enumerate,
-  h^1..h^N and h^inf, which also bounds rows and --c-den): WORD_LIMIT
-  (10^7), counted from runs and the walk before any text is built;
-- exhaustive horizon (25), exhaustive tree nodes (6,000,000), dp horizon
-  (500), value iteration state updates (5,000,000, estimated, with the
-  stop counted as at least 2**-53);
-- m and free successes q (solve, sweep): belief.PRICE_LIMIT (10^307).
+"error: <name> must be at most <limit>"; the README lists every cap.
 """
 
 from __future__ import annotations

@@ -4,11 +4,10 @@ These routes know nothing about the frontier family. They optimize over
 every outcome sequence directly, so agreement with the solver is
 evidence, not circularity.
 
-``exhaustive_best`` visits every node of the depth-``horizon`` tree above
-the last two periods, with no memoization. Success is always best in
-those two, so their nodes are built once per walk, in closed form. Each
-node is one (value, action, child) tuple that shares the chosen child,
-flattened once at the root.
+``exhaustive_best`` searches the depth-``horizon`` tree. A node's best
+play depends only on its (slack, periods left), so each such state is
+solved once. Each solved state is one (value, action, child) tuple that
+shares the chosen child, flattened once at the root.
 ``dp_value`` computes the same backward recursion bottom-up over belief
 states; both evaluate the identical floating point expressions, so
 their values match exactly, not just closely.
@@ -22,6 +21,7 @@ of the values is small enough for it to pass.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import NamedTuple
@@ -29,9 +29,6 @@ from typing import NamedTuple
 from .belief import Action, Threshold, check_cap, check_delta, check_int, check_tol, start_slack
 
 EXHAUSTIVE_LIMIT = 25
-# most nodes of the full tree, counted down to the last period, one
-# exhaustive_best may search; the walk calls itself for those above the last two
-EXHAUSTIVE_WORK_LIMIT = 6_000_000
 DP_LIMIT = 500
 VI_WORK_LIMIT = 5_000_000  # most estimated state updates, states x sweeps, of one value_iteration
 
@@ -45,68 +42,45 @@ def exhaustive_best(
     alpha0: int, beta0: int, c: Threshold, delta: float, horizon: int
 ) -> OracleResult:
     """Best value and sequence over all schedules of at most ``horizon``
-    periods, by full tree enumeration (no memoization) above the last two
-    periods, which are priced in closed form.
+    periods, by a full search of the game tree.
 
     Ties break toward the success branch, which makes the returned
     sequence the lexicographically smallest maximizer under s < f.
-    Guarded at horizon <= 25 since the tree is exponential, and by the
-    tree's node count, which must be at most EXHAUSTIVE_WORK_LIMIT.
+    Guarded at horizon <= 25 (EXHAUSTIVE_LIMIT).
     """
     check_int(horizon, "horizon", 0)
     check_delta(delta)
     slack0 = start_slack(alpha0, beta0, c)
     check_cap(horizon, "exhaustive horizon", EXHAUSTIVE_LIMIT)
-    check_cap(_tree_nodes(slack0, c, horizon), "exhaustive tree nodes", EXHAUSTIVE_WORK_LIMIT)
     value, seq = _walk(slack0, c, delta, horizon)
     return OracleResult(value, seq)
-
-
-def _tree_nodes(slack0: int, c: Threshold, horizon: int) -> int:
-    """Nodes of the full tree from ``slack0``, down to the last period and
-    counted per (slack, periods_left): an upper bound on the walk's calls."""
-    gain, short = c.num, c.den - c.num
-    layer = {slack0: 1}  # slack -> nodes at this depth
-    total = 1
-    for _ in range(horizon):
-        below: dict[int, int] = {}
-        for slack, nodes in layer.items():
-            for child in (slack - short, slack + gain):
-                if child >= 0:  # a crossing success ends the game: no node
-                    below[child] = below.get(child, 0) + nodes
-        total += sum(below.values())
-        layer = below
-    return total
 
 
 def _walk(
     slack0: int, c: Threshold, delta: float, horizon: int
 ) -> tuple[float, tuple[Action, ...]]:
-    """Best value and sequence from ``slack0``: full tree recursion above
-    the last two periods, which are priced in closed form.
+    """Best value and sequence from ``slack0``, solving each (slack,
+    periods_left) state once: at most (horizon + 1)(horizon + 2)/2 states.
 
     With one period left, success scores 1.0 + delta*0.0 == 1.0 against
-    delta*0.0; with two left, 1.0 + delta*1.0 (or 1.0 if it crosses)
-    against delta*1.0 < 1. Success wins both, so ``best(slack, 2)`` returns
-    one of two nodes built once per walk, holding exactly the floats the
-    recursion would compute. Each node is one (value, action, child) tuple
-    that shares its chosen child; the root's chain is flattened once.
+    delta*0.0, so ``best(slack, 1)`` is one node built once per walk. Each
+    node is one (value, action, child) tuple that shares its chosen child;
+    the root's chain is flattened once.
     """
-    gain, short = c.num, c.den - c.num  # Threshold.step, inlined in the tree walk
     success, failure = Action.SUCCESS, Action.FAILURE
     one = (1.0, success, None)
-    two = (1.0 + delta * 1.0, success, one)  # a success that does not cross, then one
 
+    @functools.cache
     def best(slack: int, periods_left: int) -> tuple:
-        if periods_left == 2:
-            return two if slack >= short else one
-        s_slack = slack - short
+        if periods_left == 1:
+            return one
+        s_slack = c.step(slack, success)
         if s_slack >= 0:
             s_node = best(s_slack, periods_left - 1)
             s_value = 1.0 + delta * s_node[0]
         else:
             s_value, s_node = 1.0, None  # crossing success ends the game
-        f_node = best(slack + gain, periods_left - 1)
+        f_node = best(c.step(slack, failure), periods_left - 1)
         f_value = delta * f_node[0]
         if s_value >= f_value:
             return s_value, success, s_node
@@ -114,7 +88,7 @@ def _walk(
 
     if horizon == 0:
         return 0.0, ()
-    node = one if horizon == 1 else best(slack0, horizon)
+    node = best(slack0, horizon)
     value = node[0]
     seq = []
     while node is not None:

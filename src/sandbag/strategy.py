@@ -226,7 +226,6 @@ def greedy_violations(x: Strategy, alpha0: int, beta0: int, c: Threshold) -> lis
     bar = c.den  # flip test: slack after the failure >= den
     out: list[int] = []
     pos = 0
-    cycle_start = cycle_pos = 0
     fails: list[tuple[int, int, int]] = []  # cycle failure runs: (offset, slack before, length)
     for in_cycle, runs in ((False, x.prefix_runs), (True, x.cycle_runs or ())):
         if in_cycle:

@@ -48,7 +48,7 @@ from sandbag import (
 )
 from sandbag.belief import check_delta, check_tol, split_slack
 from sandbag.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, ROW_LIMIT, WORD_LIMIT, main
-from sandbag.oracle import EXHAUSTIVE_WORK_LIMIT, VI_WORK_LIMIT, dp_value, exhaustive_best
+from sandbag.oracle import VI_WORK_LIMIT, dp_value, exhaustive_best
 from sandbag.oracle import value_iteration
 from sandbag.payoff import ROOT_TOL
 from sandbag.sim import GuesserConfig, play_strategy
@@ -673,10 +673,6 @@ def test_every_command_has_csv_columns_and_a_schema():
 # 0.8815 at the default tol 1e-10 needs 200 sweeps by the estimate
 VI_BETA_AT_LIMIT = VI_WORK_LIMIT // 200 - 1
 
-# from Beta(1, 100) at cutoff 1/2 no success crosses within 25 periods, so the
-# tree to horizon h is full, with 2**(h+1) - 1 nodes
-EXHAUSTIVE_HORIZON_AT_LIMIT = (EXHAUSTIVE_WORK_LIMIT + 1).bit_length() - 2
-
 
 def _priors_and_cutoffs(max_den: int, max_alpha: int, max_beta: int):
     """(alpha, beta, num, den) for every cutoff num/den in lowest terms with
@@ -796,13 +792,6 @@ _CAPS = {
         VI_BETA_AT_LIMIT,
         VI_BETA_AT_LIMIT + 1,
     ),
-    "oracle-exhaustive-work": (
-        ["sandbag.oracle._walk"],
-        lambda v: ("oracle", "--alpha", "1", "--beta", "100", "--c-num", "1", "--c-den", "2",
-                   "--delta", "0.5", "--mode", "exhaustive", "--horizon", str(v)),
-        EXHAUSTIVE_HORIZON_AT_LIMIT,
-        EXHAUSTIVE_HORIZON_AT_LIMIT + 1,
-    ),
 }
 
 
@@ -918,13 +907,6 @@ _EVERY_CAP = {
     "exhaustive horizon": (
         oracle, "EXHAUSTIVE_LIMIT", 3, "exhaustive horizon",
         lambda: exhaustive_best(1, 3, _C_HALF, 0.5, 3), (*_ORACLE, "exhaustive", "--horizon", "3"),
-    ),
-    # no success crosses from Beta(1, 100) within 3 periods: a full tree
-    "exhaustive tree nodes": (
-        oracle, "EXHAUSTIVE_WORK_LIMIT", 15, "exhaustive tree nodes",
-        lambda: exhaustive_best(1, 100, _C_HALF, 0.5, 3),
-        ("oracle", "--alpha", "1", "--beta", "100", "--c-num", "1", "--c-den", "2",
-         "--delta", "0.5", "--mode", "exhaustive", "--horizon", "3"),
     ),
     "dp horizon": (
         oracle, "DP_LIMIT", 4, "dp horizon",
@@ -1534,17 +1516,18 @@ def test_parsing_one_command_adds_only_its_arguments(monkeypatch):
     assert made == ["sandbag", "sandbag sweep"]
 
 
-def _refuses(rule, x: float) -> bool:
+def _refusal(rule, x: float) -> str | None:
+    """The rule's ValueError text for ``x``, or None if it accepts ``x``."""
     try:
         rule(x)
-    except ValueError:
-        return True
-    return False
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _sweep_ends(lo: float, hi: float) -> None:
-    check_delta(lo)
-    check_delta(hi)
+    check_delta(lo, "--delta-min")
+    check_delta(hi, "--delta-max")
     if not lo < hi:
         raise ValueError("need --delta-min < --delta-max")
 
@@ -1592,15 +1575,17 @@ _CAPPED = {("oracle vi --delta", repr(_NEAR_ONE)), ("sweep --step", "5e-324")}
 @pytest.mark.parametrize("flag", _REAL_FLAGS)
 def test_real_flag_exits_2_exactly_when_its_rule_refuses(capsys, flag):
     """Every real-valued flag is checked by the library rule that owns it and
-    by nothing else: exit 2 with no output when the rule refuses the float,
-    and otherwise an answer, or exit 3 where a cap on the work applies."""
+    by nothing else: exit 2 with no output and the rule's own message when
+    the rule refuses the float, and otherwise an answer, or exit 3 where a
+    cap on the work applies."""
     base, rule = _REAL_FLAGS[flag]
     name = flag.split()[-1]
     for text in _REAL_VALUES:
         # "--flag=value", as argparse would read a lone "-inf" as a flag
         code, out, err = run(capsys, *base, f"{name}={text}")
-        if _refuses(rule, float(text)):
-            assert (code, out) == (EXIT_USAGE, ""), (flag, text, err)
+        message = _refusal(rule, float(text))
+        if message is not None:
+            assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n"), (flag, text)
         elif (flag, text) in _CAPPED:
             assert (code, out) == (EXIT_LIMIT, ""), (flag, text, err)
         else:

@@ -19,7 +19,7 @@ from sandbag import (
     value_iteration,
 )
 from sandbag import oracle
-from sandbag.oracle import _tree_nodes
+from sandbag.cli import main
 
 C_HALF = Threshold(1, 2)
 
@@ -131,24 +131,26 @@ class TestExhaustiveBest:
         with pytest.raises(LimitExceededError):
             exhaustive_best(1, 3, C_HALF, 0.5, 26)
 
-    def test_full_tree_at_admitted_horizon_exits_on_node_count(self):
-        # from Beta(1, 100) at cutoff 1/2 no success crosses within 25 periods
-        with pytest.raises(LimitExceededError, match="tree nodes"):
-            exhaustive_best(1, 100, C_HALF, 0.5, 25)
+    def test_full_tree_at_the_horizon_cap_solves_each_state_once(self, capsys, monkeypatch):
+        """From Beta(1, 100) at cutoff 1/2 no success crosses within 25
+        periods, so the tree has 2**26 - 1 nodes but at most 26*27/2 distinct
+        (slack, periods_left) states, each taking at most two slack steps."""
+        step, calls = Threshold.step, []
 
-    def test_node_count_is_the_walks_call_count(self):
-        def calls(slack, left, gain, short):
-            if left == 0:
-                return 1
-            below = calls(slack - short, left - 1, gain, short) if slack >= short else 0
-            return 1 + below + calls(slack + gain, left - 1, gain, short)
+        def counted(self, *args):
+            calls.append(args)
+            if len(calls) > 26 * 27:
+                raise AssertionError("a state was solved more than once")
+            return step(self, *args)
 
-        for num, den in [(1, 2), (1, 3), (2, 5), (3, 4)]:
-            c = Threshold(num, den)
-            for slack0 in range(0, 9):
-                for horizon in range(0, 11):
-                    want = calls(slack0, horizon, num, den - num)
-                    assert _tree_nodes(slack0, c, horizon) == want, (num, den, slack0, horizon)
+        monkeypatch.setattr(Threshold, "step", counted)
+        res = exhaustive_best(1, 100, C_HALF, 0.5, 25)
+        assert res.value.hex() == dp_value(1, 100, C_HALF, 0.5, 25).hex()
+        assert seq_text(res) == "s" * 25
+        calls.clear()
+        code = main(["oracle", "--alpha", "1", "--beta", "100", "--c-num", "1", "--c-den", "2",
+                     "--delta", "0.5", "--mode", "exhaustive", "--horizon", "25"])
+        assert (code, capsys.readouterr().err) == (0, "")
 
     def test_rejects_high_prior(self):
         with pytest.raises(ValueError, match="exceeds threshold"):
@@ -192,8 +194,8 @@ class TestExhaustiveBest:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_unfolded_walk(self, data):
-        """Value bit for bit and sequence equal to the walk that recurses
-        through the last two periods, at every horizon up to 16."""
+        """Value bit for bit and sequence equal to the walk that calls itself
+        for every node of the tree, with no cache, at every horizon up to 16."""
         alpha0, beta0, c = _draw_prior_and_cutoff(data, st.integers(0, 24))
         delta = data.draw(
             st.sampled_from([0, 0.0, -0.0, 0.5, 0.999]) | st.floats(0, 0.999), label="delta"
